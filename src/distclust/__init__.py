@@ -9,7 +9,6 @@ from .clustering import (
     enlarged_radius,
     global_dbscan,
     reference_dbscan,
-    weighted_neighborhood_count,
 )
 from .datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from .errors import ConsistencyError, DistClustError, InputError
@@ -22,16 +21,7 @@ from .evaluation import (
     matching_quality,
     transmission_cost,
 )
-from .geometry import (
-    Dataset,
-    Point,
-    RangeIndex,
-    build_index,
-    distance,
-    load_dataset_csv,
-    range_query,
-    save_dataset_csv,
-)
+from .geometry import BallIndex, Dataset, Point, distance, load_dataset_csv, save_dataset_csv
 from .pipeline import (
     ExperimentConfig,
     PipelineResult,

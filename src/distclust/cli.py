@@ -25,8 +25,13 @@ from .errors import DistClustError, InputError
 from .evaluation import CostModel, evaluate, transmission_cost, write_cost_csv
 from .geometry import load_dataset_csv, save_dataset_csv
 from .pipeline import ExperimentConfig, merge_streams, run_pipeline, sweep, write_sweep_csv
-from .relabel import load_local_labels_csv, relabel_site, save_local_labels_csv
-from .relabel_io import load_owners_csv, save_owners_csv
+from .relabel import (
+    load_local_labels_csv,
+    load_owners_csv,
+    relabel_site,
+    save_local_labels_csv,
+    save_owners_csv,
+)
 from .representatives import (
     SelectionState,
     StopCriterion,

@@ -4,8 +4,10 @@ The global algorithm is a weighted DBSCAN variant: every range query around a
 representative r uses the enlarged radius epsilon + cov_rad(r), and the core
 test sums the cov_cnt weights of the representatives found instead of counting
 them. With cov_rad = 0 and cov_cnt = 1 everywhere it degenerates term by term
-to the textbook algorithm, which `reference_dbscan` implements independently
-as the centralized baseline.
+to the textbook algorithm that `reference_dbscan` runs as the centralized
+baseline. Both are one density expansion (`_expand`) over closed-ball
+`BallIndex` neighborhoods; they differ only in the query radius and in the
+weight of a neighborhood (the sum of cov_cnt, or the plain count).
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -13,20 +15,22 @@ NOISE, and real clusters are numbered 1..K in discovery order.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Dataset, GridIndex, KDTreeIndex, build_index
+from .geometry import BallIndex, Dataset
 from .representatives import RepresentativeRecord
+from .tables import read_int_table, write_int_table
 
 UNCLASSIFIED = -1
 NOISE = 0
+GLOBAL_LABELS_HEADER = ("site", "seq", "cluster_id")
+REFERENCE_LABELS_HEADER = ("id", "cluster_id")
 
 
 @dataclass(frozen=True)
@@ -72,11 +76,6 @@ def enlarged_radius(rep: RepresentativeRecord, params: GlobalParams) -> float:
     return params.epsilon + rep.cov_rad
 
 
-def weighted_neighborhood_count(seeds: Iterable[RepresentativeRecord]) -> int:
-    """Total number of local objects represented by `seeds` (sum of cov_cnt)."""
-    return sum(rec.cov_cnt for rec in seeds)
-
-
 def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> GlobalLabeling:
     """Cluster representatives in input order with per-representative enlarged
     radii and cov_cnt-weighted core tests.
@@ -87,8 +86,7 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     only. Deterministic: same input sequence and params, same labeling.
     """
     records = list(reps)
-    m = len(records)
-    if m == 0:
+    if not records:
         return GlobalLabeling({})
     dims = {p.point.dim for p in records}
     if len(dims) != 1:
@@ -96,41 +94,16 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     coords = np.array([r.point.coords for r in records], dtype=np.float64)
     cov_rad = np.array([r.cov_rad for r in records], dtype=np.float64)
     cov_cnt = np.array([r.cov_cnt for r in records], dtype=np.int64)
-    if (cov_rad < 0).any() or (cov_cnt < 0).any():
-        raise InputError("coverage aggregates must be non-negative")
-
-    dim = coords.shape[1]
-    cell = params.epsilon + float(cov_rad.max())
-    index = GridIndex(coords, cell) if dim <= 4 else KDTreeIndex(coords)
-
-    def neighborhood(i: int) -> np.ndarray:
-        return index.query(coords[i], params.epsilon + cov_rad[i])
-
-    labels = [UNCLASSIFIED] * m
-    next_cluster = 1
-    for start in range(m):
-        if labels[start] != UNCLASSIFIED:
-            continue
-        seeds = neighborhood(start)
-        if int(cov_cnt[seeds].sum()) < params.min_pts:
-            labels[start] = NOISE
-            continue
-        for s in seeds:
-            if labels[s] in (UNCLASSIFIED, NOISE):
-                labels[s] = next_cluster
-        frontier = deque(int(s) for s in seeds if s != start)
-        while frontier:
-            cur = frontier.popleft()
-            nbrs = neighborhood(cur)
-            if int(cov_cnt[nbrs].sum()) >= params.min_pts:
-                for p in nbrs:
-                    if labels[p] == UNCLASSIFIED:
-                        frontier.append(int(p))
-                        labels[p] = next_cluster
-                    elif labels[p] == NOISE:
-                        labels[p] = next_cluster
-        next_cluster += 1
-    return GlobalLabeling({records[i].key: labels[i] for i in range(m)})
+    if (cov_rad < 0).any() or not np.isfinite(cov_rad).all() or (cov_cnt < 0).any():
+        raise InputError("coverage aggregates must be non-negative and finite")
+    index = BallIndex(coords)
+    labels = _expand(
+        len(records),
+        lambda i: index.query(coords[i], params.epsilon + cov_rad[i])[0],
+        lambda nbrs: int(cov_cnt[nbrs].sum()),
+        params.min_pts,
+    )
+    return GlobalLabeling({rec.key: label for rec, label in zip(records, labels)})
 
 
 def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
@@ -141,83 +114,65 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     Serves as the centralized baseline the distributed result is judged
     against.
     """
-    labels = {p.id: UNCLASSIFIED for p in ds}
-    if not len(ds):
-        return ReferenceLabeling(labels)
-    index = build_index(ds, cell_size=params.epsilon)
+    index = BallIndex(ds.coords)
+    labels = _expand(
+        len(ds),
+        lambda i: index.query(ds.coords[i], params.epsilon)[0],
+        len,
+        params.min_pts,
+    )
+    return ReferenceLabeling({p.id: label for p, label in zip(ds.points, labels)})
+
+
+def _expand(n: int, neighborhood: Callable[[int], np.ndarray],
+            weight: Callable[[np.ndarray], int], min_pts: int) -> list[int]:
+    """Density expansion over items 0..n-1, visited in that order.
+
+    `neighborhood(i)` lists the items within reach of i (itself included) and
+    i is core when `weight` of that list reaches min_pts. Returns a label per
+    item: NOISE or a cluster id 1..K in discovery order.
+    """
+    labels = [UNCLASSIFIED] * n
     next_cluster = 1
-    for start in ds:
-        if labels[start.id] != UNCLASSIFIED:
+    for start in range(n):
+        if labels[start] != UNCLASSIFIED:
             continue
-        seeds = index.query_ids(start.coords, params.epsilon)
-        if len(seeds) < params.min_pts:
-            labels[start.id] = NOISE
+        seeds = neighborhood(start)
+        if weight(seeds) < min_pts:
+            labels[start] = NOISE
             continue
+        seeds = seeds.tolist()
         for s in seeds:
             if labels[s] in (UNCLASSIFIED, NOISE):
                 labels[s] = next_cluster
-        frontier = deque(s for s in seeds if s != start.id)
+        frontier = deque(s for s in seeds if s != start)
         while frontier:
-            cur = frontier.popleft()
-            nbrs = index.query_ids(ds.point(cur).coords, params.epsilon)
-            if len(nbrs) >= params.min_pts:
-                for q in nbrs:
+            nbrs = neighborhood(frontier.popleft())
+            if weight(nbrs) >= min_pts:
+                for q in nbrs.tolist():
                     if labels[q] == UNCLASSIFIED:
                         frontier.append(q)
                         labels[q] = next_cluster
                     elif labels[q] == NOISE:
                         labels[q] = next_cluster
         next_cluster += 1
-    return ReferenceLabeling(labels)
+    return labels
 
 
 def save_global_labels_csv(labeling: GlobalLabeling, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["site", "seq", "cluster_id"])
-        for (site, seq), cid in sorted(labeling.labels.items()):
-            writer.writerow([site, seq, cid])
+    write_int_table(path, GLOBAL_LABELS_HEADER,
+                    ((site, seq, cid) for (site, seq), cid in sorted(labeling.labels.items())))
 
 
 def load_global_labels_csv(path: str | Path) -> GlobalLabeling:
-    labels: dict[tuple[int, int], int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["site", "seq", "cluster_id"]:
-            raise InputError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                labels[(int(row[0]), int(row[1]))] = int(row[2])
-            except (ValueError, IndexError) as e:
-                raise InputError(f"{path}:{lineno}: {e}") from None
-    return GlobalLabeling(labels)
+    return GlobalLabeling(read_int_table(path, GLOBAL_LABELS_HEADER, n_key=2))
 
 
 def save_reference_labels_csv(labeling: ReferenceLabeling | Mapping[int, int],
                               path: str | Path) -> None:
     labels = labeling.labels if isinstance(labeling, ReferenceLabeling) else labeling
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "cluster_id"])
-        for oid, cid in sorted(labels.items()):
-            writer.writerow([oid, cid])
+    write_int_table(path, REFERENCE_LABELS_HEADER, sorted(labels.items()))
 
 
 def load_reference_labels_csv(path: str | Path) -> ReferenceLabeling:
-    labels: dict[int, int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "cluster_id"]:
-            raise InputError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                labels[int(row[0])] = int(row[1])
-            except (ValueError, IndexError) as e:
-                raise InputError(f"{path}:{lineno}: {e}") from None
-    return ReferenceLabeling(labels)
+    return ReferenceLabeling(read_int_table(path, REFERENCE_LABELS_HEADER))

@@ -57,7 +57,7 @@ class TransmissionCost:
 
 
 def _check_same_ids(dist: Mapping[int, int], ref: Mapping[int, int]) -> None:
-    if set(dist.keys()) != set(ref.keys()):
+    if dist.keys() != ref.keys():  # set comparison of the key views, nothing copied
         only_d = len(set(dist) - set(ref))
         only_r = len(set(ref) - set(dist))
         raise InputError(

@@ -1,19 +1,20 @@
-"""Points, datasets, Euclidean distance, and fixed-radius range-query indexes.
+"""Points, datasets, Euclidean distance, and the closed-ball range index.
 
-All neighborhood queries in the pipeline are closed-ball queries: a point at
-distance exactly ``radius`` from the query center is included.
+Every neighborhood in the pipeline comes from `BallIndex.query`, a closed-ball
+query: a point at distance exactly ``radius`` from the query center is
+included, in every dimension.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError
 
@@ -49,8 +50,8 @@ def distance(a: Point, b: Point) -> float:
 
 
 def coord_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    # Plain left-to-right sum of squares; index implementations compute the
-    # same expression so closed-ball membership agrees bit-for-bit.
+    # Plain left-to-right sum of squares; BallIndex computes the same
+    # expression so closed-ball membership agrees bit-for-bit.
     s = 0.0
     for x, y in zip(a, b):
         d = x - y
@@ -99,137 +100,57 @@ class Dataset:
         return point_id in self._by_id
 
 
-def _select_distances(coords: np.ndarray, positions: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = coords[positions] - center
-    return np.sqrt((diff * diff).sum(axis=1))
+class BallIndex:
+    """Closed-ball range queries over an (n, d) coordinate array.
 
-
-class GridIndex:
-    """Uniform-grid index over an (n, d) coordinate array.
-
-    Cell side should be the dominant query radius; arbitrary radii still work,
-    the query just scans more cells. Positions are returned in ascending order.
+    Immutable once built and safe for concurrent read-only queries. Each row
+    carries a distinct integer key (default: its row position); `query`
+    answers in keys, ascending, so score sums over a neighborhood always run
+    in key order.
     """
 
-    def __init__(self, coords: np.ndarray, cell_size: float):
-        if cell_size <= 0 or not math.isfinite(cell_size):
-            raise InputError(f"cell_size must be positive and finite, got {cell_size}")
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.cell_size = float(cell_size)
-        self.dim = self.coords.shape[1]
-        self._origin = self.coords.min(axis=0) if len(self.coords) else np.zeros(self.dim)
-        self._cells: dict[tuple[int, ...], list[int]] = {}
-        for pos, row in enumerate(self.coords):
-            self._cells.setdefault(self._cell_of(row), []).append(pos)
-        if self._cells:
-            keys = np.array(list(self._cells))
-            self._cell_lo = keys.min(axis=0)
-            self._cell_hi = keys.max(axis=0)
+    def __init__(self, coords: np.ndarray, keys: Sequence[int] | np.ndarray | None = None):
+        coords = np.asarray(coords, dtype=np.float64)
+        if coords.ndim != 2:
+            raise InputError(f"coordinates must be an (n, d) array, got shape {coords.shape}")
+        n, self.dim = coords.shape
+        keys = np.arange(n) if keys is None else np.asarray(keys, dtype=np.int64)
+        if keys.shape != (n,):
+            raise InputError(f"need one key per row of {n}, got keys of shape {keys.shape}")
+        # Rows are stored in key order, so ascending tree positions are
+        # ascending keys.
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise InputError("index keys must be distinct")
+        self._coords = coords[order]
+        self._tree = cKDTree(self._coords)
 
-    def _cell_of(self, row: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.floor((row - self._origin) / self.cell_size))
+    def query(self, center: Sequence[float], radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Keys (ascending) and distances of every row within `radius` of
+        `center`, boundary included.
 
-    def query(self, center: Sequence[float], radius: float) -> np.ndarray:
-        positions, _ = self.query_with_distances(center, radius)
-        return positions
-
-    def query_with_distances(self, center: Sequence[float], radius: float):
+        The tree compares squared distances, which can put an exact-boundary
+        row just outside; it is asked for a slightly larger ball and the
+        result is cut back with `coord_distance`'s formula.
+        """
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self.dim,):
             raise InputError(f"query center has dimension {center.shape}, index has {self.dim}")
-        if len(self.coords) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        lo = np.floor((center - radius - self._origin) / self.cell_size).astype(int)
-        hi = np.floor((center + radius - self._origin) / self.cell_size).astype(int)
-        # Only occupied cells can contribute; for radii far above the cell
-        # size it is cheaper to scan the occupied cells than the box product.
-        lo = np.maximum(lo, self._cell_lo)
-        hi = np.minimum(hi, self._cell_hi)
-        if (lo > hi).any():
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        candidates: list[int] = []
-        if math.prod(int(b - a) + 1 for a, b in zip(lo, hi)) > len(self._cells):
-            for cell, members in self._cells.items():
-                if all(a <= c <= b for c, a, b in zip(cell, lo, hi)):
-                    candidates.extend(members)
-        else:
-            for cell in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                candidates.extend(self._cells.get(cell, ()))
-        if not candidates:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        positions = np.array(sorted(candidates), dtype=np.int64)
-        dists = _select_distances(self.coords, positions, center)
+        if not radius >= 0:
+            raise InputError(f"radius must be non-negative, got {radius}")
+        # The additive term keeps the tree's squared radius out of the
+        # subnormal range, where it loses its relative precision.
+        found = self._tree.query_ball_point(center, radius * (1 + 1e-9) + 1e-150,
+                                            return_sorted=True)
+        positions = np.array(found, dtype=np.intp)
+        square = np.zeros(len(positions))
+        for k in range(self.dim):
+            diff = self._coords[positions, k] - center[k]
+            square += diff * diff
+        dists = np.sqrt(square)
         keep = dists <= radius
-        return positions[keep], dists[keep]
-
-
-class KDTreeIndex:
-    """k-d tree index over an (n, d) coordinate array (scipy-backed)."""
-
-    def __init__(self, coords: np.ndarray):
-        from scipy.spatial import cKDTree
-
-        self.coords = np.asarray(coords, dtype=np.float64)
-        self.dim = self.coords.shape[1]
-        self._tree = cKDTree(self.coords) if len(self.coords) else None
-
-    def query(self, center: Sequence[float], radius: float) -> np.ndarray:
-        positions, _ = self.query_with_distances(center, radius)
-        return positions
-
-    def query_with_distances(self, center: Sequence[float], radius: float):
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (self.dim,):
-            raise InputError(f"query center has dimension {center.shape}, index has {self.dim}")
-        if self._tree is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        found = self._tree.query_ball_point(center, radius)
-        positions = np.array(sorted(found), dtype=np.int64)
-        # Recompute distances with our own formula so the <= radius boundary
-        # matches coord_distance exactly.
-        dists = _select_distances(self.coords, positions, center)
-        keep = dists <= radius
-        return positions[keep], dists[keep]
-
-
-class RangeIndex:
-    """Fixed-radius query index over a Dataset, answering in point ids.
-
-    Immutable once built; safe for concurrent read-only queries. Results are
-    sorted by ascending id, which also fixes the summation order of the
-    quality scores computed from them.
-    """
-
-    def __init__(self, dataset: Dataset, cell_size: float | None = None):
-        self.dataset = dataset
-        if cell_size is not None and dataset.dim <= 4:
-            self._core = GridIndex(dataset.coords, cell_size)
-        else:
-            self._core = KDTreeIndex(dataset.coords)
-
-    def query_ids(self, center: Sequence[float], radius: float) -> list[int]:
-        positions = self._core.query(center, radius)
-        return sorted(int(self.dataset.ids[p]) for p in positions)
-
-    def query_with_distances(self, center: Sequence[float], radius: float) -> list[tuple[int, float]]:
-        positions, dists = self._core.query_with_distances(center, radius)
-        pairs = [(int(self.dataset.ids[p]), float(d)) for p, d in zip(positions, dists)]
-        pairs.sort()
-        return pairs
-
-
-def build_index(ds: Dataset, cell_size: float | None = None) -> RangeIndex:
-    """Build a range-query index; pass the dominant query radius as cell_size."""
-    return RangeIndex(ds, cell_size=cell_size)
-
-
-def range_query(idx: RangeIndex, center: Point, radius: float) -> set[int]:
-    """Ids of all dataset points within the closed ball of `radius` around `center`."""
-    if radius < 0:
-        raise InputError(f"radius must be non-negative, got {radius}")
-    if center.dim != idx.dataset.dim:
-        raise InputError(f"dimension mismatch: query {center.dim}, index {idx.dataset.dim}")
-    return set(idx.query_ids(center.coords, radius))
+        return self._keys[positions[keep]], dists[keep]
 
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -93,8 +94,21 @@ def merge_streams(site_records: Sequence[Sequence[RepresentativeRecord]],
 
     "interleave" sorts by (seq, site): every site's best representative comes
     before anyone's second-best. "concat" keeps whole sites together.
+
+    Each site's records must carry the seqs 0..k-1 exactly once; a repeated
+    (site, seq) key or a gap raises InputError, since either would hand one
+    site's objects another representative's cluster id.
     """
     merged = [rec for records in site_records for rec in records]
+    sizes = Counter(rec.site for rec in merged)
+    marks = {site: bytearray(k) for site, k in sizes.items()}
+    for rec in merged:
+        if not 0 <= rec.seq < sizes[rec.site]:
+            raise InputError(f"site {rec.site} has {sizes[rec.site]} representatives "
+                             f"but one with seq {rec.seq}: seqs must run 0..k-1")
+        if marks[rec.site][rec.seq]:
+            raise InputError(f"representative (site, seq) = {rec.key} appears twice")
+        marks[rec.site][rec.seq] = 1
     if order == "interleave":
         merged.sort(key=lambda r: (r.seq, r.site))
     elif order == "concat":

@@ -8,13 +8,16 @@ what the transmitted stream can reconstruct.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .clustering import NOISE, GlobalLabeling
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
+from .tables import read_int_table, write_int_table
+
+LOCAL_LABELS_HEADER = ("id", "cluster_id", "owner_seq")
+OWNERS_HEADER = ("id", "owner_seq")
 
 
 @dataclass
@@ -55,27 +58,25 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
 
 def save_local_labels_csv(labeling: LocalLabeling, path: str | Path) -> None:
     """Write `id,cluster_id,owner_seq` rows; owner_seq is -1 for uncovered."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "cluster_id", "owner_seq"])
-        for oid in sorted(labeling.labels):
-            owner = labeling.provenance.get(oid)
-            writer.writerow([oid, labeling.labels[oid], owner[1] if owner else -1])
+    provenance = labeling.provenance
+    write_int_table(path, LOCAL_LABELS_HEADER,
+                    ((oid, labeling.labels[oid], provenance[oid][1] if oid in provenance else -1)
+                     for oid in sorted(labeling.labels)))
 
 
 def load_local_labels_csv(path: str | Path) -> dict[int, int]:
     """Read back just the id -> cluster_id map of a per-site labels file."""
-    labels: dict[int, int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "cluster_id", "owner_seq"]:
-            raise InputError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                labels[int(row[0])] = int(row[1])
-            except (ValueError, IndexError) as e:
-                raise InputError(f"{path}:{lineno}: {e}") from None
-    return labels
+    return read_int_table(path, LOCAL_LABELS_HEADER)
+
+
+def save_owners_csv(coverage_owner: Mapping[int, int], path: str | Path) -> None:
+    """Write a site's coverage ownership as `id,owner_seq` rows.
+
+    Ownership is never transmitted; a site stores it next to its data so the
+    relabeling step can run when the global labels come back.
+    """
+    write_int_table(path, OWNERS_HEADER, sorted(coverage_owner.items()))
+
+
+def load_owners_csv(path: str | Path) -> dict[int, int]:
+    return read_int_table(path, OWNERS_HEADER)

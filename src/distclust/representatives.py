@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError
-from .geometry import Dataset, Point, RangeIndex, build_index
+from .geometry import BallIndex, Dataset, Point
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,13 @@ class StopCriterion:
         return None
 
 
-def stat_rep_q(o: Point, epsilon: float, idx: RangeIndex) -> float:
+def stat_rep_q(o: Point, epsilon: float, idx: BallIndex) -> float:
     """Static representation quality: sum of (epsilon - d) over the closed
     epsilon-neighborhood of o, including o's own epsilon term."""
     if epsilon <= 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    total = 0.0
-    for _, d in idx.query_with_distances(o.coords, epsilon):
-        total += epsilon - d
-    return total
+    _, dists = idx.query(o.coords, epsilon)
+    return _margin_sum(epsilon, dists)
 
 
 def dyn_rep_q(o: Point, epsilon: float, state: "SelectionState") -> float:
@@ -97,11 +97,15 @@ def dyn_rep_q(o: Point, epsilon: float, state: "SelectionState") -> float:
     neighbors not yet covered by any chosen representative."""
     if epsilon <= 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    total = 0.0
-    for i, d in state.index.query_with_distances(o.coords, epsilon):
-        if i not in state.covered:
-            total += epsilon - d
-    return total
+    ids, dists = state.index.query(o.coords, epsilon)
+    uncovered = [i not in state.covered for i in ids.tolist()]
+    return _margin_sum(epsilon, dists[np.array(uncovered, dtype=bool)])
+
+
+def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
+    # Left to right in ascending id order: cumsum never re-associates, so
+    # exact score ties (and the greedy tie-breaks) are reproducible.
+    return float(np.cumsum(epsilon - dists)[-1]) if len(dists) else 0.0
 
 
 class SelectionState:
@@ -118,14 +122,13 @@ class SelectionState:
     Already-covered objects stay candidates; ties break toward the lower id.
     """
 
-    def __init__(self, dataset: Dataset, epsilon: float, site: int = 0,
-                 index: RangeIndex | None = None):
+    def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
         if epsilon <= 0:
             raise InputError(f"epsilon must be positive, got {epsilon}")
         self.dataset = dataset
         self.epsilon = float(epsilon)
         self.site = int(site)
-        self.index = index if index is not None else build_index(dataset, cell_size=epsilon)
+        self.index = BallIndex(dataset.coords, dataset.ids)
         self.covered: set[int] = set()
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
@@ -211,8 +214,8 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     count of newly covered objects. Records `rep`'s seq as the owner of each
     newly covered object and marks affected candidates for re-scoring.
     """
-    pairs = state.index.query_with_distances(rep.coords, state.epsilon)
-    newly = [(i, d) for i, d in pairs if i not in state.covered]
+    ids, dists = state.index.query(rep.coords, state.epsilon)
+    newly = [(i, d) for i, d in zip(ids.tolist(), dists.tolist()) if i not in state.covered]
     cov_cnt = len(newly)
     cov_rad = max((d for _, d in newly), default=0.0)
     seq = state.next_seq
@@ -221,9 +224,8 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
         state.covered.add(i)
         state.coverage_owner[i] = seq
     for i, _ in newly:
-        for q in state.index.query_ids(state.dataset.point(i).coords, state.epsilon):
-            if q in state._candidates:
-                state._dirty.add(q)
+        affected = state.index.query(state.dataset.point(i).coords, state.epsilon)[0]
+        state._dirty.update(state._candidates.intersection(affected.tolist()))
     return cov_rad, cov_cnt, [i for i, _ in newly]
 
 
@@ -343,7 +345,8 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
                 raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
-            if rec.cov_rad < 0 or rec.cov_cnt < 0:
-                raise InputError(f"{path}:{lineno}: negative coverage aggregate")
+            if not math.isfinite(rec.cov_rad) or rec.cov_rad < 0 or rec.cov_cnt < 0:
+                raise InputError(f"{path}:{lineno}: coverage aggregates must be non-negative "
+                                 f"and finite, got cov_rad {rec.cov_rad}, cov_cnt {rec.cov_cnt}")
             records.append(rec)
     return records

@@ -107,3 +107,16 @@ def test_custom_kind_requires_explicit_params(tmp_path, capsys):
     assert run(["pipeline", "--kind", "custom", "--n-points", "50", "--n-clusters", "1",
                 "--seed", "0", "--budget", "0.2", "--out-dir", tmp_path / "x"]) == 1
     assert "--eps" in capsys.readouterr().err
+
+
+def test_global_rejects_the_same_stream_twice(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["gen", "--kind", "custom", "--seed", "2", "--n-points", "30",
+         "--n-clusters", "1", "--out", data])
+    reps = tmp_path / "s.jsonl"
+    assert run(["local", "--in", data, "--eps", "3.0", "--budget", "5", "--out", reps]) == 0
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, reps, "--eps", "3.0", "--minpts", "3",
+                "--out", out]) == 1
+    assert "appears twice" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,7 +15,6 @@ from distclust import (
     enlarged_radius,
     global_dbscan,
     reference_dbscan,
-    weighted_neighborhood_count,
 )
 from distclust.clustering import (
     load_global_labels_csv,
@@ -45,14 +44,6 @@ def test_enlarged_radius():
     assert enlarged_radius(rec((0, 0), cov_rad=0.0), params) == 1.0
     assert enlarged_radius(rec((0, 0), cov_rad=1.0), params) == 2.0
     assert enlarged_radius(rec((0, 0), cov_rad=0.3), params) == 1.3
-
-
-def test_weighted_neighborhood_count():
-    assert weighted_neighborhood_count([rec((0, 0), cov_cnt=9), rec((1, 1), cov_cnt=2)]) == 11
-    assert weighted_neighborhood_count([]) == 0
-    assert weighted_neighborhood_count(
-        [rec((0, 0), cov_cnt=0), rec((1, 0), cov_cnt=0), rec((2, 0), cov_cnt=5)]
-    ) == 5
 
 
 def test_global_params_validation():
@@ -230,6 +221,36 @@ def test_mixed_dimension_records_rejected():
         global_dbscan(reps, GlobalParams(1.0, 1))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_non_finite_or_negative_cov_rad_rejected(bad):
+    reps = [rec((0.0, 0.0), seq=0), rec((1.0, 0.0), cov_rad=bad, seq=1)]
+    with pytest.raises(InputError, match="non-negative and finite"):
+        global_dbscan(reps, GlobalParams(1.0, 1))
+
+
+def test_global_matches_literal_transcription_5d(rng):
+    # Five dimensions. Half the enlarged radii eps + cov_rad reach exactly to
+    # some other representative (whenever it lies beyond eps), so closed-ball
+    # boundaries are hit on purpose.
+    for trial in range(8):
+        m = int(rng.integers(5, 80))
+        eps = float(rng.uniform(1.0, 3.0))
+        coords = rng.uniform(0, 6, size=(m, 5))
+        cov_rad = rng.uniform(0, eps, size=m)
+        for i in range(0, m, 2):
+            j = int(rng.integers(0, m))
+            cov_rad[i] = max(0.0, oracles.dist(coords[i], coords[j]) - eps)
+        cov_cnt = rng.integers(0, 6, size=m)
+        params = GlobalParams(eps, int(rng.integers(2, 12)))
+        reps = [rec(coords[i], float(cov_rad[i]), int(cov_cnt[i]), seq=i) for i in range(m)]
+        got = labels_by_seq(global_dbscan(reps, params))
+        expected = oracles.literal_weighted_dbscan(
+            [(tuple(coords[i]), float(cov_rad[i]), int(cov_cnt[i])) for i in range(m)],
+            eps, params.min_pts,
+        )
+        assert got == dict(enumerate(expected))
+
+
 # ---------------------------------------------------------- reference dbscan
 
 def test_reference_single_dense_cluster():
@@ -273,6 +294,19 @@ def test_reference_matches_brute_force_property(coords, eps, min_pts):
     assert got.labels == oracles.literal_dbscan(as_pairs(ds), eps, min_pts)
 
 
+@pytest.mark.parametrize("dim", [5, 6])
+def test_reference_matches_brute_force_high_dim(rng, dim):
+    for trial in range(4):
+        ds = random_dataset(rng, int(rng.integers(30, 150)), dim=dim)
+        pairs = as_pairs(ds)
+        # epsilon equal to an actual pairwise distance puts points on the boundary
+        p, q = ds.points[0], ds.points[int(rng.integers(1, len(ds)))]
+        eps = max(oracles.dist(p.coords, q.coords), 0.5)
+        min_pts = int(rng.integers(2, 8))
+        got = reference_dbscan(ds, GlobalParams(eps, min_pts))
+        assert got.labels == oracles.literal_dbscan(pairs, eps, min_pts)
+
+
 # ------------------------------------------------------------------ file io
 
 def test_global_labels_csv_roundtrip(tmp_path, rng):
@@ -300,3 +334,21 @@ def test_labels_csv_rejects_bad_header(tmp_path):
         load_global_labels_csv(path)
     with pytest.raises(InputError):
         load_reference_labels_csv(path)
+
+
+def test_labels_csv_rejects_repeated_key(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("site,seq,cluster_id\n0,0,1\n0,1,1\n0,0,2\n")
+    with pytest.raises(InputError, match="repeated key"):
+        load_global_labels_csv(path)
+    path.write_text("id,cluster_id\n4,1\n4,1\n")
+    with pytest.raises(InputError, match="repeated key"):
+        load_reference_labels_csv(path)
+
+
+def test_labels_csv_rejects_short_and_non_integer_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    for body in ["0\n", "0,x\n", "0,1,2\n"]:
+        path.write_text("id,cluster_id\n" + body)
+        with pytest.raises(InputError):
+            load_reference_labels_csv(path)

@@ -5,13 +5,8 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import Dataset, InputError, Point, build_index, distance, range_query
-from distclust.geometry import (
-    GridIndex,
-    KDTreeIndex,
-    load_dataset_csv,
-    save_dataset_csv,
-)
+from distclust import BallIndex, Dataset, InputError, Point, distance
+from distclust.geometry import load_dataset_csv, save_dataset_csv
 
 
 def test_distance_examples():
@@ -66,68 +61,92 @@ def test_empty_dataset_needs_dim():
     assert len(ds) == 0
 
 
+def ball_ids(ds, center, radius):
+    """Ids the dataset's closed-ball index returns, as a set."""
+    return set(BallIndex(ds.coords, ds.ids).query(center, radius)[0].tolist())
+
+
 def test_duplicate_coordinates_are_distinct_objects():
     ds = make_dataset([(1.0, 1.0), (1.0, 1.0)])
-    idx = build_index(ds, cell_size=1.0)
-    assert range_query(idx, ds.point(0), 0.0) == {0, 1}
+    assert ball_ids(ds, ds.point(0).coords, 0.0) == {0, 1}
 
 
 def test_empty_dataset_index():
     ds = Dataset([], dim=2)
-    idx = build_index(ds, cell_size=1.0)
-    assert range_query(idx, Point(0, (5.0, 5.0)), 100.0) == set()
+    assert ball_ids(ds, (5.0, 5.0), 100.0) == set()
 
 
 def test_single_point_index():
     ds = make_dataset([(2.0, 3.0)])
-    idx = build_index(ds)
-    assert range_query(idx, ds.point(0), 0.0) == {0}
-    assert range_query(idx, ds.point(0), 10.0) == {0}
+    assert ball_ids(ds, ds.point(0).coords, 0.0) == {0}
+    assert ball_ids(ds, ds.point(0).coords, 10.0) == {0}
 
 
 def test_range_query_hand_case():
     ds = make_dataset([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
-    idx = build_index(ds, cell_size=1.0)
-    assert range_query(idx, ds.point(0), 1.0) == {0, 1}
+    assert ball_ids(ds, ds.point(0).coords, 1.0) == {0, 1}
 
 
 def test_range_query_boundary_is_inclusive():
     ds = make_dataset([(0.0, 0.0), (3.0, 4.0)])
-    for idx in (build_index(ds, cell_size=5.0), build_index(ds)):
-        assert range_query(idx, ds.point(0), 5.0) == {0, 1}
-        assert range_query(idx, ds.point(0), 4.999999) == {0}
+    assert ball_ids(ds, ds.point(0).coords, 5.0) == {0, 1}
+    assert ball_ids(ds, ds.point(0).coords, 4.999999) == {0}
 
 
 def test_range_query_validates_input():
     ds = make_dataset([(0.0, 0.0)])
-    idx = build_index(ds)
+    idx = BallIndex(ds.coords)
     with pytest.raises(InputError):
-        range_query(idx, ds.point(0), -0.5)
+        idx.query((0.0, 0.0), -0.5)
     with pytest.raises(InputError):
-        range_query(idx, Point(7, (0.0, 0.0, 0.0)), 1.0)
+        idx.query((0.0, 0.0), float("nan"))
+    with pytest.raises(InputError):
+        idx.query((0.0, 0.0, 0.0), 1.0)
+
+
+def test_index_rejects_bad_keys():
+    coords = np.zeros((3, 2))
+    with pytest.raises(InputError):
+        BallIndex(coords, [4, 1, 4])
+    with pytest.raises(InputError):
+        BallIndex(coords, [0, 1])
+    with pytest.raises(InputError):
+        BallIndex(np.zeros(3))
+
+
+def test_query_answers_keys_ascending_with_their_distances():
+    coords = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
+    keys, dists = BallIndex(coords, [7, 30, 2, 5]).query((0.0, 0.0), 5.0)
+    assert keys.tolist() == [2, 7, 30]
+    assert dists.tolist() == [1.0, 5.0, 0.0]
+    keys, _ = BallIndex(coords).query((0.0, 0.0), 5.0)
+    assert keys.tolist() == [0, 1, 2]
 
 
 def test_index_matches_brute_force_random(rng):
     ds = random_dataset(rng, 200)
     pairs = as_pairs(ds)
-    grid = build_index(ds, cell_size=1.5)
-    tree = build_index(ds)
+    idx = BallIndex(ds.coords, ds.ids)
     for _ in range(50):
         center = tuple(map(float, rng.uniform(-2, 12, 2)))
         radius = float(rng.uniform(0, 4))
-        expected = oracles.brute_range_ids(pairs, center, radius)
-        assert set(grid.query_ids(center, radius)) == expected
-        assert set(tree.query_ids(center, radius)) == expected
+        keys, dists = idx.query(center, radius)
+        assert set(keys.tolist()) == oracles.brute_range_ids(pairs, center, radius)
+        assert dists.tolist() == [oracles.dist(ds.point(k).coords, center) for k in keys.tolist()]
 
 
 def test_index_matches_brute_force_large(rng):
     ds = random_dataset(rng, 10_000, clustered=False, spread=100.0)
     pairs = as_pairs(ds)
-    grid = build_index(ds, cell_size=3.0)
+    # Keys in shuffled row order: answers must still come back ascending.
+    keys = rng.permutation(3 * len(ds))[:len(ds)]
+    idx = BallIndex(ds.coords, keys)
     for _ in range(10):
         center = tuple(map(float, rng.uniform(0, 100, 2)))
         radius = float(rng.uniform(0, 10))
-        assert set(grid.query_ids(center, radius)) == oracles.brute_range_ids(pairs, center, radius)
+        got, _ = idx.query(center, radius)
+        assert (np.diff(got) > 0).all()
+        assert set(got.tolist()) == {int(keys[i]) for i in oracles.brute_range_ids(pairs, center, radius)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,22 +154,41 @@ def test_index_matches_brute_force_large(rng):
     coords=st.lists(coords2d, min_size=0, max_size=30),
     center=coords2d,
     radius=st.floats(0, 50),
-    cell=st.floats(0.1, 20),
 )
-def test_index_brute_equivalence_property(coords, center, radius, cell):
+def test_index_brute_equivalence_property(coords, center, radius):
     ds = make_dataset(coords, dim=2)
+    assert ball_ids(ds, center, radius) == oracles.brute_range_ids(as_pairs(ds), center, radius)
+
+
+@st.composite
+def boundary_cases(draw):
+    """Points in 1-6 dimensions plus a query center and radius taken from two
+    of them, so one point lies exactly on the sphere."""
+    dim = draw(st.integers(1, 6))
+    coords = draw(st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * dim), min_size=2, max_size=30))
+    i = draw(st.integers(0, len(coords) - 1))
+    j = draw(st.integers(0, len(coords) - 1))
+    return coords, coords[i], oracles.dist(coords[j], coords[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_cases())
+def test_closed_ball_boundary_property_all_dims(case):
+    coords, center, radius = case
+    ds = make_dataset(coords)
+    assert ball_ids(ds, center, radius) == oracles.brute_range_ids(as_pairs(ds), center, radius)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_closed_ball_boundary_every_pair(rng, dim):
+    ds = random_dataset(rng, 30, dim=dim, clustered=False)
     pairs = as_pairs(ds)
-    expected = oracles.brute_range_ids(pairs, center, radius)
-    assert set(GridIndex(ds.coords, cell).query(np.asarray(center), radius)) == {
-        p for p in expected
-    }
-    assert set(KDTreeIndex(ds.coords).query(np.asarray(center), radius)) == expected
-
-
-def test_grid_index_rejects_bad_cell_size():
-    ds = make_dataset([(0.0, 0.0)])
-    with pytest.raises(InputError):
-        GridIndex(ds.coords, 0.0)
+    idx = BallIndex(ds.coords, ds.ids)
+    for p in ds:
+        for q in ds:
+            radius = oracles.dist(q.coords, p.coords)
+            keys, _ = idx.query(p.coords, radius)
+            assert set(keys.tolist()) == oracles.brute_range_ids(pairs, p.coords, radius)
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):

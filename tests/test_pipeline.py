@@ -81,6 +81,26 @@ def test_merge_concat_keeps_sites_together():
     assert [(r.site, r.seq) for r in merged] == [(0, 0), (0, 1), (1, 0)]
 
 
+def test_merge_rejects_duplicate_site_seq_keys():
+    # The same stream passed twice: both copies claim site 0.
+    stream = [_rec(0, 0), _rec(0, 1), _rec(0, 2)]
+    for order in ("interleave", "concat"):
+        with pytest.raises(InputError, match="appears twice"):
+            merge_streams([stream, stream], order)
+
+
+def test_merge_rejects_seq_gaps():
+    with pytest.raises(InputError, match="0..k-1"):
+        merge_streams([[_rec(0, 0), _rec(0, 2)], [_rec(1, 0)]])
+    with pytest.raises(InputError, match="0..k-1"):
+        merge_streams([[_rec(3, 1)]])
+
+
+def test_merge_accepts_empty_and_prefix_streams():
+    assert merge_streams([[], [_rec(1, 0)]]) == [_rec(1, 0)]
+    assert merge_streams([]) == []
+
+
 def test_budget_parsing():
     assert budget_to_stop(0.25) == StopCriterion.fraction(0.25)
     assert budget_to_stop(12) == StopCriterion.size(12)

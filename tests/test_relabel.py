@@ -10,8 +10,12 @@ from distclust import (
     relabel_site,
 )
 from distclust.errors import InputError
-from distclust.relabel import load_local_labels_csv, save_local_labels_csv
-from distclust.relabel_io import load_owners_csv, save_owners_csv
+from distclust.relabel import (
+    load_local_labels_csv,
+    load_owners_csv,
+    save_local_labels_csv,
+    save_owners_csv,
+)
 
 
 def test_single_representative_labels_everything():
@@ -90,6 +94,10 @@ def test_owners_csv_roundtrip(tmp_path):
     path = tmp_path / "owners.csv"
     save_owners_csv(owners, path)
     assert load_owners_csv(path) == owners
+    assert path.read_text().splitlines() == ["id,owner_seq", "3,0", "7,1", "11,2"]
     path.write_text("wrong,header\n")
     with pytest.raises(InputError):
+        load_owners_csv(path)
+    path.write_text("id,owner_seq\n3,0\n3,1\n")
+    with pytest.raises(InputError, match="repeated key"):
         load_owners_csv(path)

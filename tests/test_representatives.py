@@ -6,12 +6,12 @@ import pytest
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
 from distclust import (
+    BallIndex,
     Dataset,
     InputError,
     RepresentativeStream,
     SelectionState,
     StopCriterion,
-    build_index,
     covering_stats,
     dyn_rep_q,
     select_representatives,
@@ -29,7 +29,7 @@ def run_selection(ds, eps, stop, site=0):
 
 def test_stat_rep_q_isolated_point_is_epsilon():
     ds = make_dataset([(0.0, 0.0), (100.0, 100.0)])
-    idx = build_index(ds, cell_size=2.0)
+    idx = BallIndex(ds.coords, ds.ids)
     assert stat_rep_q(ds.point(0), 2.0, idx) == 2.0
 
 
@@ -40,7 +40,7 @@ def test_stat_rep_q_sums_margins_of_all_neighbors():
     dists = [0.5, 0.8, 1.2, 1.9]
     coords = [(0.0, 0.0)] + [(d, 0.0) for d in dists]
     ds = make_dataset(coords)
-    idx = build_index(ds, cell_size=eps)
+    idx = BallIndex(ds.coords, ds.ids)
     expected = sum(eps - d for d in dists) + eps
     assert stat_rep_q(ds.point(0), eps, idx) == pytest.approx(expected, rel=1e-12)
 
@@ -49,7 +49,7 @@ def test_stat_rep_q_matches_brute_force(rng):
     ds = random_dataset(rng, 100)
     span = ds.coords.max(axis=0) - ds.coords.min(axis=0)
     eps = 0.2 * float(np.sqrt((span * span).sum()))
-    idx = build_index(ds, cell_size=eps)
+    idx = BallIndex(ds.coords, ds.ids)
     pairs = as_pairs(ds)
     for p in ds:
         expected = oracles.stat_rep_q_brute(pairs, p.id, eps)
@@ -59,7 +59,7 @@ def test_stat_rep_q_matches_brute_force(rng):
 def test_stat_rep_q_rejects_bad_epsilon():
     ds = make_dataset([(0.0, 0.0)])
     with pytest.raises(InputError):
-        stat_rep_q(ds.point(0), 0.0, build_index(ds))
+        stat_rep_q(ds.point(0), 0.0, BallIndex(ds.coords, ds.ids))
 
 
 # ----------------------------------------------------------------- dyn_rep_q
@@ -98,6 +98,20 @@ def test_dyn_rep_q_matches_recompute_after_picks(rng):
         assert dyn_rep_q(p, eps, state) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_scores_equal_the_loop_sums_bit_for_bit(rng, dim):
+    # Same terms in the same ascending-id order as the oracles' plain loops,
+    # so the vectorized sums must agree exactly, not just approximately.
+    ds = random_dataset(rng, 80, dim=dim, spread=4.0)
+    eps = 1.5
+    records, state = run_selection(ds, eps, StopCriterion.size(4))
+    chosen_ids = [r.point.id for r in records]
+    pairs = as_pairs(ds)
+    for p in ds:
+        assert stat_rep_q(p, eps, state.index) == oracles.stat_rep_q_brute(pairs, p.id, eps)
+        assert dyn_rep_q(p, eps, state) == oracles.dyn_rep_q_brute(pairs, p.id, eps, chosen_ids)
+
+
 # ------------------------------------------------------- select_representatives
 
 def test_single_point_selection():
@@ -112,7 +126,7 @@ def test_collinear_middle_point_wins():
     # x = 0, 1, 2 with eps 1.5: the middle scores (1.5-1)+(1.5-1)+1.5 = 2.5,
     # the ends only 0.5 + 1.5 = 2.0.
     ds = make_dataset([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    idx = build_index(ds, cell_size=1.5)
+    idx = BallIndex(ds.coords, ds.ids)
     assert stat_rep_q(ds.point(1), 1.5, idx) == 2.5
     assert stat_rep_q(ds.point(0), 1.5, idx) == 2.0
     records, _ = run_selection(ds, 1.5, StopCriterion.size(1))
@@ -124,7 +138,7 @@ def test_collinear_middle_point_wins():
 def test_first_pick_attains_max_stat_rep_q(rng):
     ds = random_dataset(rng, 80)
     eps = 1.4
-    idx = build_index(ds, cell_size=eps)
+    idx = BallIndex(ds.coords, ds.ids)
     best = max(ds, key=lambda p: (stat_rep_q(p, eps, idx), -p.id))
     records, _ = run_selection(ds, eps, StopCriterion.size(1))
     assert records[0].point.id == best.id
@@ -371,4 +385,14 @@ def test_jsonl_rejects_garbage(tmp_path):
         read_records_jsonl(path)
     path.write_text("not json\n")
     with pytest.raises(InputError):
+        read_records_jsonl(path)
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity"])
+def test_jsonl_rejects_non_finite_cov_rad(tmp_path, spelling):
+    path = tmp_path / "bad.jsonl"
+    good = '{"site": 0, "seq": 0, "coords": [0.0, 0.0], "cov_rad": 0.5, "cov_cnt": 3}'
+    bad = '{"site": 0, "seq": 1, "coords": [1.0, 0.0], "cov_rad": %s, "cov_cnt": 2}' % spelling
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(InputError, match=r"bad\.jsonl:2: .*finite"):
         read_records_jsonl(path)
