@@ -34,12 +34,10 @@ from .pipeline import (
 from .relabel import LocalLabeling, relabel_site
 from .representatives import (
     RepresentativeRecord,
-    RepresentativeStream,
     SelectionState,
     StopCriterion,
     covering_stats,
     dyn_rep_q,
-    select_representatives,
     stat_rep_q,
 )
 

@@ -24,7 +24,7 @@ from .datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from .errors import DistClustError, InputError
 from .evaluation import CostModel, evaluate, transmission_cost, write_cost_csv
 from .geometry import load_dataset_csv, save_dataset_csv
-from .pipeline import ExperimentConfig, merge_streams, run_pipeline, sweep, write_sweep_csv
+from .pipeline import ExperimentConfig, budget_to_stop, merge_streams, run_pipeline, sweep, write_sweep_csv
 from .relabel import (
     load_local_labels_csv,
     load_owners_csv,
@@ -99,13 +99,12 @@ def cmd_gen(args) -> int:
 
 def cmd_local(args) -> int:
     ds = load_dataset_csv(args.infile)
+    if (args.budget is None) == (args.theta is None):
+        raise InputError("exactly one of --budget or --theta is required")
     if args.theta is not None:
         stop = StopCriterion.error_bound(args.theta)
-    elif args.budget is not None:
-        budget = _parse_budget(args.budget)
-        stop = StopCriterion.size(budget) if isinstance(budget, int) else StopCriterion.fraction(budget)
     else:
-        raise InputError("one of --budget or --theta is required")
+        stop = budget_to_stop(_parse_budget(args.budget))
     state = SelectionState(ds, args.eps, site=args.site)
     n = write_records_jsonl(state.run(stop), args.out)
     if args.owners:
@@ -183,6 +182,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.sites:
+        raise InputError("--sites needs at least one site count")
     spec = _spec_from_args(args)
     params = _params_from_args(args)
     cfg = ExperimentConfig(
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=4)
     p.add_argument("--budget", default="0.05")
     p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
-    p.add_argument("--concurrent", action="store_true", help="run sites on worker threads")
+    p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
     p.add_argument("--bytes-per-object", type=int, default=100)
     p.add_argument("--bytes-per-aggregate", type=int, default=4)
     p.add_argument("--out-dir", required=True)
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of per-site budgets")
     p.add_argument("--sites", type=_parse_ints, default=[4], help="comma list of site counts")
     p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
-    p.add_argument("--concurrent", action="store_true")
+    p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
     p.add_argument("--bytes-per-object", type=int, default=100)
     p.add_argument("--bytes-per-aggregate", type=int, default=4)
     p.add_argument("--out", required=True)

@@ -2,18 +2,22 @@
 clustering, relabeling, evaluation, and experiment sweeps.
 
 Site selections are independent; they can run sequentially or on worker
-threads, with bit-identical results either way. The harness always evaluates
-against a single centralized clustering of the unpartitioned dataset with the
-same parameters.
+processes, with bit-identical results either way (the workers import the
+caller's main module, which therefore needs the `__main__` guard). The harness
+always evaluates against a single centralized clustering of the unpartitioned
+dataset with the same parameters.
 """
 
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,12 +29,7 @@ from .errors import InputError
 from .evaluation import CostModel, QualityReport, TransmissionCost, evaluate, transmission_cost
 from .geometry import Dataset
 from .relabel import LocalLabeling, relabel_site
-from .representatives import (
-    RepresentativeRecord,
-    RepresentativeStream,
-    SelectionState,
-    StopCriterion,
-)
+from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 
 Budget = float | int
 
@@ -147,16 +146,21 @@ class PipelineResult:
         return len(self.merged)
 
 
-def _select_site(site_ds: Dataset, epsilon: float, stop: StopCriterion, site: int,
-                 concurrent: bool):
+def _select_site(site_ds: Dataset, epsilon: float, stop: StopCriterion, site: int):
     t0 = time.perf_counter()
     state = SelectionState(site_ds, epsilon, site=site)
-    if concurrent:
-        stream = RepresentativeStream(state, stop)
-        records = list(stream)
-    else:
-        records = list(state.run(stop))
-    return records, dict(state.coverage_owner), time.perf_counter() - t0
+    records = list(state.run(stop))
+    return records, state.coverage_owner, time.perf_counter() - t0
+
+
+def _worker_context():
+    # Workers fork from one single-threaded server that imported this package
+    # once; spawning would cost each worker a ~1 s numpy/scipy import.
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")  # Windows
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload([__name__])
+    return ctx
 
 
 def run_pipeline(cfg: ExperimentConfig, budget: Budget | None = None,
@@ -172,15 +176,13 @@ def run_pipeline(cfg: ExperimentConfig, budget: Budget | None = None,
     ds = dataset if dataset is not None else generate(cfg.dataset)
     sites = partition(ds, cfg.n_sites, cfg.seed)
 
+    site_args = (sites, repeat(cfg.epsilon), repeat(stop), range(cfg.n_sites))
     if cfg.concurrent:
-        with ThreadPoolExecutor(max_workers=cfg.n_sites) as pool:
-            outcomes = list(pool.map(
-                lambda k: _select_site(sites[k], cfg.epsilon, stop, k, True),
-                range(cfg.n_sites),
-            ))
+        with ProcessPoolExecutor(max_workers=min(cfg.n_sites, os.cpu_count() or 1),
+                                 mp_context=_worker_context()) as pool:
+            outcomes = list(pool.map(_select_site, *site_args))
     else:
-        outcomes = [_select_site(sites[k], cfg.epsilon, stop, k, False)
-                    for k in range(cfg.n_sites)]
+        outcomes = list(map(_select_site, *site_args))
     site_records = [records for records, _, _ in outcomes]
     owners = [owner for _, owner, _ in outcomes]
     site_seconds = tuple(elapsed for _, _, elapsed in outcomes)

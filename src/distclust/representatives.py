@@ -15,8 +15,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -229,76 +227,6 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     return cov_rad, cov_cnt, [i for i, _ in newly]
 
 
-def select_representatives(ds: Dataset, epsilon: float, stop: StopCriterion,
-                           site: int = 0) -> Iterator[RepresentativeRecord]:
-    """Convenience wrapper: fresh selection over `ds`, yielding records lazily."""
-    state = SelectionState(ds, epsilon, site=site)
-    return state.run(stop)
-
-
-class RepresentativeStream:
-    """One site's records produced on a worker thread through a bounded queue.
-
-    The producer blocks when the queue is full; close() cancels it promptly
-    even mid-block. Iteration order equals the sequential selection order.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, state: SelectionState, stop: StopCriterion, maxsize: int = 32):
-        self.state = state
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
-        self._cancel = threading.Event()
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread = threading.Thread(target=self._produce, args=(stop,), daemon=True)
-        self._thread.start()
-
-    def _produce(self, stop: StopCriterion) -> None:
-        try:
-            for record in self.state.run(stop):
-                if not self._put(record):
-                    return
-        except BaseException as e:  # surfaced to the consumer
-            self._error = e
-        finally:
-            self._put(self._SENTINEL)
-
-    def _put(self, item) -> bool:
-        while not self._cancel.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def __iter__(self) -> Iterator[RepresentativeRecord]:
-        return self
-
-    def __next__(self) -> RepresentativeRecord:
-        if self._closed:
-            raise StopIteration
-        item = self._queue.get()
-        if item is self._SENTINEL:
-            self._closed = True
-            if self._error is not None:
-                raise self._error
-            raise StopIteration
-        return item
-
-    def close(self) -> None:
-        """Cancel the producer and wait for it to stop."""
-        self._closed = True
-        self._cancel.set()
-        while self._thread.is_alive():
-            try:
-                self._queue.get(timeout=0.01)
-            except queue.Empty:
-                pass
-        self._thread.join()
-
-
 def record_to_json(rec: RepresentativeRecord) -> str:
     return json.dumps({
         "site": rec.site,
@@ -336,12 +264,13 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                seq = _json_int(obj, "seq")
                 rec = RepresentativeRecord(
-                    point=Point(int(obj["seq"]), tuple(float(c) for c in obj["coords"])),
+                    point=Point(seq, tuple(float(c) for c in obj["coords"])),
                     cov_rad=float(obj["cov_rad"]),
-                    cov_cnt=int(obj["cov_cnt"]),
-                    site=int(obj["site"]),
-                    seq=int(obj["seq"]),
+                    cov_cnt=_json_int(obj, "cov_cnt"),
+                    site=_json_int(obj, "site"),
+                    seq=seq,
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
                 raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
@@ -350,3 +279,11 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
                                  f"and finite, got cov_rad {rec.cov_rad}, cov_cnt {rec.cov_cnt}")
             records.append(rec)
     return records
+
+
+def _json_int(obj: dict, field: str) -> int:
+    # int() would truncate 0.9 to 0 and read true as 1.
+    value = obj[field]
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
+    return value

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from distclust.cli import main
 
 
@@ -66,6 +68,16 @@ def test_theta_stop_via_cli(tmp_path):
     assert sum(r["cov_cnt"] for r in lines) == 40
 
 
+def test_local_rejects_budget_and_theta_together(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["gen", "--kind", "C", "--seed", "1", "--out", data])
+    reps = tmp_path / "r.jsonl"
+    assert run(["local", "--in", data, "--eps", "2.0", "--budget", "0.2", "--theta", "0",
+                "--out", reps]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not reps.exists()
+
+
 def test_pipeline_command_writes_artifacts(tmp_path):
     outdir = tmp_path / "run"
     assert run(["pipeline", "--kind", "custom", "--n-points", "100", "--n-clusters", "2",
@@ -86,6 +98,16 @@ def test_sweep_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "fraction,n_sites,quality,bytes,speedup,cpu_time"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flag", ["--sites", "--fractions"])
+def test_sweep_rejects_an_empty_list(tmp_path, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--kind", "custom", "--n-points", "30", "--n-clusters", "1",
+                "--seed", "4", "--eps", "4.0", "--minpts", "4", flag, "",
+                "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_is_diagnosed(tmp_path, capsys):

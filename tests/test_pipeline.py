@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from conftest import make_dataset, random_dataset
@@ -153,6 +155,14 @@ def test_concurrent_equals_sequential():
         (r.site, r.seq, r.point.id) for r in sequential.merged
     ]
     assert concurrent.report == sequential.report
+
+
+def test_worker_error_crosses_the_process_boundary():
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        run_pipeline(tiny_config(epsilon=0.0))
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        run_pipeline(tiny_config(epsilon=0.0, concurrent=True))
+    assert multiprocessing.active_children() == []
 
 
 def test_pipeline_deterministic_end_to_end():

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,10 @@ from distclust import (
     BallIndex,
     Dataset,
     InputError,
-    RepresentativeStream,
     SelectionState,
     StopCriterion,
     covering_stats,
     dyn_rep_q,
-    select_representatives,
     stat_rep_q,
 )
 from distclust.representatives import read_records_jsonl, write_records_jsonl
@@ -112,7 +108,7 @@ def test_scores_equal_the_loop_sums_bit_for_bit(rng, dim):
         assert dyn_rep_q(p, eps, state) == oracles.dyn_rep_q_brute(pairs, p.id, eps, chosen_ids)
 
 
-# ------------------------------------------------------- select_representatives
+# ------------------------------------------------------------------- selection
 
 def test_single_point_selection():
     ds = make_dataset([(3.0, 4.0)])
@@ -253,7 +249,8 @@ def test_error_bound_zero_stops_before_inert_records(rng):
 
 def test_empty_dataset_yields_empty_stream():
     ds = Dataset([], dim=2)
-    assert list(select_representatives(ds, 1.0, StopCriterion.size(3))) == []
+    records, _ = run_selection(ds, 1.0, StopCriterion.size(3))
+    assert records == []
 
 
 def test_generator_cancellation_stops_work(rng):
@@ -329,40 +326,6 @@ def test_fraction_resolution():
     assert StopCriterion.error_bound().resolve_count(100) is None
 
 
-# ------------------------------------------------------------------ streaming
-
-def test_stream_matches_sequential_selection(rng):
-    ds = random_dataset(rng, 60)
-    eps = 1.3
-    sequential, _ = run_selection(ds, eps, StopCriterion.size(15))
-    stream = RepresentativeStream(SelectionState(ds, eps), StopCriterion.size(15), maxsize=4)
-    assert list(stream) == sequential
-
-
-def test_stream_close_cancels_producer_promptly(rng):
-    ds = random_dataset(rng, 200, clustered=False)
-    stream = RepresentativeStream(SelectionState(ds, 0.8), StopCriterion.error_bound(0.0),
-                                  maxsize=2)
-    consumed = [next(stream) for _ in range(3)]
-    stream.close()
-    deadline = time.monotonic() + 2.0
-    while stream._thread.is_alive() and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert not stream._thread.is_alive()
-    # Producer ran at most a few records past the consumer (bounded queue).
-    assert len(stream.state.chosen) <= len(consumed) + 2 + 2
-    assert stream.state.chosen[:3] == consumed
-
-
-def test_stream_propagates_nothing_after_close(rng):
-    ds = random_dataset(rng, 30)
-    stream = RepresentativeStream(SelectionState(ds, 1.0), StopCriterion.size(10))
-    next(stream)
-    stream.close()
-    with pytest.raises(StopIteration):
-        next(stream)
-
-
 # ---------------------------------------------------------------- wire format
 
 def test_jsonl_roundtrip(tmp_path, rng):
@@ -395,4 +358,20 @@ def test_jsonl_rejects_non_finite_cov_rad(tmp_path, spelling):
     bad = '{"site": 0, "seq": 1, "coords": [1.0, 0.0], "cov_rad": %s, "cov_cnt": 2}' % spelling
     path.write_text(good + "\n" + bad + "\n")
     with pytest.raises(InputError, match=r"bad\.jsonl:2: .*finite"):
+        read_records_jsonl(path)
+
+
+@pytest.mark.parametrize("field, spelling", [
+    ("seq", "0.9"), ("seq", "true"), ("cov_cnt", "2.7"), ("cov_cnt", "false"),
+    ("site", "true"), ("site", "1.0"),
+])
+def test_jsonl_rejects_non_integer_site_seq_cov_cnt(tmp_path, field, spelling):
+    path = tmp_path / "bad.jsonl"
+    fields = {"site": "0", "seq": "1", "cov_cnt": "2"}
+    fields[field] = spelling
+    good = '{"site": 0, "seq": 0, "coords": [0.0, 0.0], "cov_rad": 0.5, "cov_cnt": 3}'
+    bad = ('{"site": %(site)s, "seq": %(seq)s, "coords": [1.0, 0.0], "cov_rad": 0.5, '
+           '"cov_cnt": %(cov_cnt)s}' % fields)
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*{field} must be a JSON integer"):
         read_records_jsonl(path)
