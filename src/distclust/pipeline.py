@@ -155,11 +155,13 @@ def _select_site(site_ds: Dataset, epsilon: float, stop: StopCriterion, site: in
 
 def _worker_context():
     # Workers fork from one single-threaded server that imported this package
-    # once; spawning would cost each worker a ~1 s numpy/scipy import.
+    # once; spawning would cost each worker a ~1 s numpy/scipy import. scipy
+    # is named too: the server ignores sys.path entries added at run time
+    # (Python 3.11), so it may fail, silently, to import this package.
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")  # Windows
     ctx = multiprocessing.get_context("forkserver")
-    ctx.set_forkserver_preload([__name__])
+    ctx.set_forkserver_preload(["scipy.optimize", "scipy.spatial", __name__])
     return ctx
 
 

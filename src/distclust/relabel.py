@@ -36,7 +36,8 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
     coverage_owner maps object id to the seq of the representative that first
     covered it; objects absent from it get NOISE. Raises ConsistencyError when
     an owner seq has no global label (the transmitted stream and the labeled
-    stream disagree in length).
+    stream disagree in length) or when coverage_owner names an object the
+    site does not hold (ownership of another site).
     """
     labels: dict[int, int] = {}
     provenance: dict[int, tuple[int, int]] = {}
@@ -53,6 +54,12 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
             )
         labels[oid] = global_labeling.labels[key]
         provenance[oid] = key
+    if len(provenance) != len(coverage_owner):
+        foreign = sorted(set(coverage_owner) - labels.keys())
+        raise ConsistencyError(
+            f"ownership names {len(foreign)} object(s) site {site} does not hold, "
+            f"e.g. {foreign[:3]} (ownership of another site?)"
+        )
     return LocalLabeling(labels, provenance)
 
 

@@ -57,8 +57,8 @@ class StopCriterion:
             raise InputError("size bound must be >= 1")
         if self.max_fraction is not None and not 0.0 < self.max_fraction <= 1.0:
             raise InputError("fraction bound must be in (0, 1]")
-        if self.theta is not None and self.theta < 0:
-            raise InputError("theta must be >= 0")
+        if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):
+            raise InputError(f"theta must be finite and >= 0, got {self.theta}")
 
     @classmethod
     def size(cls, count: int) -> "StopCriterion":
@@ -107,16 +107,16 @@ def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
 
 
 class SelectionState:
-    """Mutable state of one site's greedy selection.
+    """Mutable state of one site's greedy selection, run as lazy ("accelerated")
+    greedy: Minoux 1978; CELF, Leskovec et al. 2007.
 
-    Candidate scores live in a max-priority heap with lazy re-evaluation:
-    when an object becomes covered, every candidate whose neighborhood holds
-    it is only marked stale; a stale candidate is re-scored from the
-    definition the next time it surfaces at the top of the heap. Scores never
-    increase, so the first fresh entry popped is the true maximum, and
-    re-scored values are bit-identical to a from-scratch evaluation (which
-    keeps tie-breaking reproducible).
-
+    The heap holds one entry (-key, id) per candidate, where key bounds the
+    candidate's dynamic quality from above (it starts as the static quality).
+    The top entry is re-scored from the definition. If the score equals its
+    key, no candidate beats it and a tie with a lower id would sit above it,
+    so it is chosen; otherwise its key drops to the score. Covering objects
+    only removes non-negative terms from a left-to-right float sum, which
+    never raises it, so the keys stay bounds as objects get covered.
     Already-covered objects stay candidates; ties break toward the lower id.
     """
 
@@ -131,50 +131,15 @@ class SelectionState:
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.next_seq = 0  # advanced by covering_stats, one commit per representative
-        self._candidates: set[int] = {p.id for p in dataset}
-        self._scores: dict[int, float] = {}
-        self._dirty: set[int] = set()
-        self._heap: list[tuple[float, int]] = []
-        for p in dataset:
-            s = stat_rep_q(p, self.epsilon, self.index)
-            self._scores[p.id] = s
-            self._heap.append((-s, p.id))
+        self._heap = [(-stat_rep_q(p, self.epsilon, self.index), p.id) for p in dataset]
         heapq.heapify(self._heap)
 
     def _evaluate(self, oid: int) -> float:
         return dyn_rep_q(self.dataset.point(oid), self.epsilon, self)
 
-    def current_score(self, oid: int) -> float:
-        """Exact current dynamic quality of a candidate, refreshing it if stale."""
-        if oid not in self._candidates:
-            raise InputError(f"{oid} is not a candidate (already chosen or unknown)")
-        if oid in self._dirty:
-            val = self._evaluate(oid)
-            self._scores[oid] = val
-            self._dirty.discard(oid)
-            heapq.heappush(self._heap, (-val, oid))
-        return self._scores[oid]
-
     def candidate_scores(self) -> dict[int, float]:
-        """Materialized scores of all candidates (refreshes stale entries)."""
-        return {oid: self.current_score(oid) for oid in sorted(self._candidates)}
-
-    def _pop_best(self) -> tuple[int, float] | None:
-        while self._heap:
-            neg, oid = heapq.heappop(self._heap)
-            if oid not in self._candidates:
-                continue
-            if -neg != self._scores[oid]:
-                continue  # superseded by a fresher entry
-            if oid in self._dirty:
-                val = self._evaluate(oid)
-                self._scores[oid] = val
-                self._dirty.discard(oid)
-                heapq.heappush(self._heap, (-val, oid))
-                continue
-            self._candidates.discard(oid)
-            return oid, -neg
-        return None
+        """Current dynamic quality of every candidate, by ascending id."""
+        return {oid: self._evaluate(oid) for oid in sorted(oid for _, oid in self._heap)}
 
     def run(self, stop: StopCriterion) -> Iterator[RepresentativeRecord]:
         """Greedy selection; yields records best-first, one per round.
@@ -183,24 +148,21 @@ class SelectionState:
         closing it early cancels the remaining work.
         """
         limit = stop.resolve_count(len(self.dataset))
-        while True:
-            if limit is not None and len(self.chosen) >= limit:
-                return
-            best = self._pop_best()
-            if best is None:
-                return
-            oid, score = best
-            if stop.theta is not None and score <= stop.theta:
-                # Not emitted; restore candidacy so the state stays inspectable.
-                self._candidates.add(oid)
-                heapq.heappush(self._heap, (-score, oid))
-                return
-            rep = self.dataset.point(oid)
-            seq = self.next_seq
-            cov_rad, cov_cnt, _ = covering_stats(rep, self)
-            record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
-            self.chosen.append(record)
-            yield record
+        while self._heap and (limit is None or len(self.chosen) < limit):
+            neg, oid = self._heap[0]
+            score = self._evaluate(oid)
+            if score != -neg:
+                heapq.heapreplace(self._heap, (-score, oid))
+            elif stop.theta is not None and score <= stop.theta:
+                return  # not emitted; it stays a candidate, keyed by its exact score
+            else:
+                heapq.heappop(self._heap)
+                rep = self.dataset.point(oid)
+                seq = self.next_seq
+                cov_rad, cov_cnt, _ = covering_stats(rep, self)
+                record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
+                self.chosen.append(record)
+                yield record
 
 
 def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[int]]:
@@ -210,7 +172,8 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     Returns (cov_rad, cov_cnt, newly_covered_ids): the distance to the
     farthest newly covered object (0 when nothing new is covered) and the
     count of newly covered objects. Records `rep`'s seq as the owner of each
-    newly covered object and marks affected candidates for re-scoring.
+    newly covered object. Candidate heap keys are left as they are: they stay
+    upper bounds, and each is re-scored when it reaches the top.
     """
     ids, dists = state.index.query(rep.coords, state.epsilon)
     newly = [(i, d) for i, d in zip(ids.tolist(), dists.tolist()) if i not in state.covered]
@@ -221,9 +184,6 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     for i, _ in newly:
         state.covered.add(i)
         state.coverage_owner[i] = seq
-    for i, _ in newly:
-        affected = state.index.query(state.dataset.point(i).coords, state.epsilon)[0]
-        state._dirty.update(state._candidates.intersection(affected.tolist()))
     return cov_rad, cov_cnt, [i for i, _ in newly]
 
 
@@ -266,13 +226,13 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
                 obj = json.loads(line)
                 seq = _json_int(obj, "seq")
                 rec = RepresentativeRecord(
-                    point=Point(seq, tuple(float(c) for c in obj["coords"])),
-                    cov_rad=float(obj["cov_rad"]),
+                    point=Point(seq, tuple(_json_number(c, "coords") for c in obj["coords"])),
+                    cov_rad=_json_number(obj["cov_rad"], "cov_rad"),
                     cov_cnt=_json_int(obj, "cov_cnt"),
                     site=_json_int(obj, "site"),
                     seq=seq,
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
             if not math.isfinite(rec.cov_rad) or rec.cov_rad < 0 or rec.cov_cnt < 0:
                 raise InputError(f"{path}:{lineno}: coverage aggregates must be non-negative "
@@ -287,3 +247,10 @@ def _json_int(obj: dict, field: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{field} must be a JSON integer, got {value!r}")
     return value
+
+
+def _json_number(value, field: str) -> float:
+    # float() would also take "2.5" and true.
+    if type(value) not in (int, float):
+        raise TypeError(f"{field}: expected a JSON number, got {value!r}")
+    return float(value)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from distclust import dataset_spec, generate, partition, save_dataset_csv
 from distclust.cli import main
 
 
@@ -66,6 +67,15 @@ def test_theta_stop_via_cli(tmp_path):
                 "--out", reps]) == 0
     lines = [json.loads(l) for l in reps.read_text().splitlines()]
     assert sum(r["cov_cnt"] for r in lines) == 40
+
+
+def test_local_rejects_a_nan_theta(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["gen", "--kind", "C", "--seed", "1", "--out", data])
+    reps = tmp_path / "r.jsonl"
+    assert run(["local", "--in", data, "--eps", "2.0", "--theta", "nan", "--out", reps]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not reps.exists()
 
 
 def test_local_rejects_budget_and_theta_together(tmp_path, capsys):
@@ -141,4 +151,21 @@ def test_global_rejects_the_same_stream_twice(tmp_path, capsys):
     assert run(["global", "--reps", reps, reps, "--eps", "3.0", "--minpts", "3",
                 "--out", out]) == 1
     assert "appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_relabel_rejects_another_sites_owners(tmp_path, capsys):
+    for k, site in enumerate(partition(generate(dataset_spec("C", 1)), 2, 1)):
+        save_dataset_csv(site, tmp_path / f"s{k}.csv")
+        assert run(["local", "--in", tmp_path / f"s{k}.csv", "--eps", "2.0", "--budget", "0.2",
+                    "--site", k, "--out", tmp_path / f"r{k}.jsonl",
+                    "--owners", tmp_path / f"o{k}.csv"]) == 0
+    glabels = tmp_path / "g.csv"
+    assert run(["global", "--reps", tmp_path / "r0.jsonl", tmp_path / "r1.jsonl",
+                "--eps", "2.0", "--minpts", "8", "--out", glabels]) == 0
+    capsys.readouterr()
+    out = tmp_path / "l0.csv"
+    assert run(["relabel", "--dataset", tmp_path / "s0.csv", "--owners", tmp_path / "o1.csv",
+                "--global-labels", glabels, "--site", "0", "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()

@@ -52,6 +52,14 @@ def test_missing_global_label_is_consistency_error():
         relabel_site([5], owners, global_labels, site=0)
 
 
+def test_owner_outside_the_site_is_consistency_error():
+    # Ownership of objects 0..3, but the site holds 2..5: 0 and 1 belong elsewhere.
+    owners = {0: 0, 1: 0, 2: 0, 3: 1}
+    global_labels = GlobalLabeling({(0, 0): 1, (0, 1): 2})
+    with pytest.raises(ConsistencyError, match=r"2 object\(s\) site 0 does not hold, e\.g\. \[0, 1\]"):
+        relabel_site(range(2, 6), owners, global_labels, site=0)
+
+
 def test_totality_and_owner_consistency(rng):
     ds = random_dataset(rng, 80)
     state = SelectionState(ds, 1.2, site=6)

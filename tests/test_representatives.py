@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from distclust import (
     BallIndex,
     Dataset,
     InputError,
+    Point,
     SelectionState,
     StopCriterion,
     covering_stats,
@@ -145,6 +148,29 @@ def test_exact_score_ties_break_to_lowest_id():
     ds = make_dataset([(50.0, 50.0), (0.0, 0.0)])
     records, _ = run_selection(ds, 1.0, StopCriterion.size(2))
     assert [r.point.id for r in records] == [0, 1]
+
+
+@pytest.mark.parametrize("shape, eps", [
+    ((40,), 1.0), ((40,), 1.5), ((9, 9), 1.0), ((9, 9), 1.5), ((9, 9), 2.3),
+    ((5, 5, 5), 1.8), ((5, 5, 5), 3.0),
+], ids=["1d-1.0", "1d-1.5", "2d-1.0", "2d-1.5", "2d-2.3", "3d-1.8", "3d-3.0"])
+@pytest.mark.parametrize("stop", [StopCriterion.error_bound(0.0), StopCriterion.size(7)],
+                         ids=["error_bound", "size"])
+def test_selection_matches_naive_greedy_on_tied_lattices(shape, eps, stop):
+    # Integer lattices: all points with the same neighbourhood shape score
+    # exactly alike, so many rounds are decided by the lowest-id tie-break.
+    # Shuffled ids keep that order unrelated to the lattice order. The eps
+    # values 1.5 (1-D), 2.3 and 3.0 catch a lazy pick that stops once its
+    # re-score reaches the next key, where a lower id may hold the same score.
+    lattice = list(itertools.product(*(range(n) for n in shape)))
+    ids = np.random.default_rng(len(lattice)).permutation(len(lattice)).tolist()
+    ds = Dataset([Point(i, tuple(map(float, c))) for i, c in zip(ids, lattice)], dim=len(shape))
+    records, state = run_selection(ds, eps, stop)
+    expected, expected_owner = oracles.naive_select(
+        as_pairs(ds), eps, size_bound=stop.resolve_count(len(ds)), theta=stop.theta,
+    )
+    assert [(r.point.id, r.cov_rad, r.cov_cnt) for r in records] == expected
+    assert state.coverage_owner == expected_owner
 
 
 @pytest.mark.parametrize("stop", [
@@ -316,6 +342,9 @@ def test_stop_criterion_validation():
         StopCriterion.fraction(1.5)
     with pytest.raises(InputError):
         StopCriterion.error_bound(-1.0)
+    for theta in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="finite"):
+            StopCriterion.error_bound(theta)
 
 
 def test_fraction_resolution():
@@ -374,4 +403,18 @@ def test_jsonl_rejects_non_integer_site_seq_cov_cnt(tmp_path, field, spelling):
            '"cov_cnt": %(cov_cnt)s}' % fields)
     path.write_text(good + "\n" + bad + "\n")
     with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*{field} must be a JSON integer"):
+        read_records_jsonl(path)
+
+
+@pytest.mark.parametrize("coords, cov_rad", [
+    ('[true, 2.5]', "0.5"), ('[1.0, "2.5"]', "0.5"), ('"12"', "0.5"),
+    ("[1.0, 2.5]", '"0.5"'), ("[1.0, 2.5]", "false"),
+])
+def test_jsonl_rejects_non_number_coords_cov_rad(tmp_path, coords, cov_rad):
+    path = tmp_path / "bad.jsonl"
+    good = '{"site": 0, "seq": 0, "coords": [0.0, 0.0], "cov_rad": 0.5, "cov_cnt": 3}'
+    bad = ('{"site": 0, "seq": 1, "coords": %s, "cov_rad": %s, "cov_cnt": 2}'
+           % (coords, cov_rad))
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(InputError, match=r"bad\.jsonl:2: .*expected a JSON number"):
         read_records_jsonl(path)
