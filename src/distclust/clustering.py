@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset
+from .geometry import BallIndex, Dataset, check_epsilon
 from .representatives import RepresentativeRecord
 from .tables import read_int_table, write_int_table
 
@@ -41,8 +41,7 @@ class GlobalParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.min_pts < 1:
             raise InputError(f"min_pts must be >= 1, got {self.min_pts}")
 

@@ -119,6 +119,5 @@ def generate(spec: DatasetSpec) -> Dataset:
     if n_noise:
         rows.append(rng.uniform(lows, highs, size=(n_noise, dim)))
 
-    coords = np.vstack(rows)
-    points = [Point(i, tuple(map(float, coords[i]))) for i in range(spec.n_points)]
+    points = [Point(i, tuple(row)) for i, row in enumerate(np.vstack(rows).tolist())]
     return Dataset(points, dim=dim)

@@ -1,8 +1,8 @@
 """Points, datasets, Euclidean distance, and the closed-ball range index.
 
-Every neighborhood in the pipeline comes from `BallIndex.query`, a closed-ball
-query: a point at distance exactly ``radius`` from the query center is
-included, in every dimension.
+Every neighborhood in the pipeline is a closed ball from `BallIndex`, one
+`query` or one row of its `graph`: a point at distance exactly ``radius`` from
+the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
+
+GRAPH_BLOCK_ROWS = 32  # rows per tree call in BallIndex.graph; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,13 @@ def coord_distance(a: Sequence[float], b: Sequence[float]) -> float:
         d = x - y
         s += d * d
     return math.sqrt(s)
+
+
+def check_epsilon(epsilon: float) -> float:
+    """`epsilon` as a float; InputError unless it is positive and finite."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+    return float(epsilon)
 
 
 class Dataset:
@@ -104,9 +114,9 @@ class BallIndex:
     """Closed-ball range queries over an (n, d) coordinate array.
 
     Immutable once built and safe for concurrent read-only queries. Each row
-    carries a distinct integer key (default: its row position); `query`
-    answers in keys, ascending, so score sums over a neighborhood always run
-    in key order.
+    carries a distinct integer key (default: its row position); rows are kept
+    in key order (`keys`, `coords`), so answers come in ascending keys and
+    score sums over a neighborhood always run in key order.
     """
 
     def __init__(self, coords: np.ndarray, keys: Sequence[int] | np.ndarray | None = None):
@@ -117,40 +127,59 @@ class BallIndex:
         keys = np.arange(n) if keys is None else np.asarray(keys, dtype=np.int64)
         if keys.shape != (n,):
             raise InputError(f"need one key per row of {n}, got keys of shape {keys.shape}")
-        # Rows are stored in key order, so ascending tree positions are
-        # ascending keys.
         order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        if (self._keys[1:] == self._keys[:-1]).any():
+        self.keys = keys[order]
+        if (self.keys[1:] == self.keys[:-1]).any():
             raise InputError("index keys must be distinct")
-        self._coords = coords[order]
-        self._tree = cKDTree(self._coords)
+        self.coords = coords[order]
+        self._tree = cKDTree(self.coords)
+
+    def _candidates(self, centers: np.ndarray, radius: float, **how):
+        # A slightly larger ball, for callers to cut back with `distances`: the
+        # tree compares squared distances, which can drop an exact-boundary row,
+        # and the added 1e-150 keeps the squared radius from going subnormal.
+        return self._tree.query_ball_point(centers, radius * (1 + 1e-9) + 1e-150, **how)
+
+    def distances(self, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Distance from each row at `positions` to `centers` (one point, or one
+        per position) by `coord_distance`'s formula, bit for bit everywhere."""
+        square = np.zeros(len(positions))
+        for k in range(self.dim):
+            diff = self.coords[positions, k] - centers[..., k]
+            square += diff * diff
+        return np.sqrt(square)
 
     def query(self, center: Sequence[float], radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Keys (ascending) and distances of every row within `radius` of
-        `center`, boundary included.
-
-        The tree compares squared distances, which can put an exact-boundary
-        row just outside; it is asked for a slightly larger ball and the
-        result is cut back with `coord_distance`'s formula.
-        """
+        """Keys (ascending) and distances of the rows in `center`'s closed `radius`-ball."""
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self.dim,):
             raise InputError(f"query center has dimension {center.shape}, index has {self.dim}")
         if not radius >= 0:
             raise InputError(f"radius must be non-negative, got {radius}")
-        # The additive term keeps the tree's squared radius out of the
-        # subnormal range, where it loses its relative precision.
-        found = self._tree.query_ball_point(center, radius * (1 + 1e-9) + 1e-150,
-                                            return_sorted=True)
-        positions = np.array(found, dtype=np.intp)
-        square = np.zeros(len(positions))
-        for k in range(self.dim):
-            diff = self._coords[positions, k] - center[k]
-            square += diff * diff
-        dists = np.sqrt(square)
+        positions = np.array(self._candidates(center, radius, return_sorted=True), dtype=np.intp)
+        dists = self.distances(positions, center)
         keep = dists <= radius
-        return self._keys[positions[keep]], dists[keep]
+        return self.keys[positions[keep]], dists[keep]
+
+    def graph(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, cols) of every row's closed `radius`-ball: row i's ascending
+        int32 positions cols[indptr[i]:indptr[i + 1]] are the rows `query` finds."""
+        if not 0 <= radius < math.inf:  # an infinite radius would ask for all n * n pairs
+            raise InputError(f"graph radius must be finite and non-negative, got {radius}")
+        # The candidate count bounds the columns, so they fill one array in place.
+        cols = np.empty(self._candidates(self.coords, radius, return_length=True).sum(), np.int32)
+        filled, sizes = 0, [[0]]
+        for start in range(0, len(self.keys), GRAPH_BLOCK_ROWS):
+            centers = self.coords[start:start + GRAPH_BLOCK_ROWS]
+            found = self._candidates(centers, radius, return_sorted=True)
+            block = np.fromiter(chain.from_iterable(found), dtype=np.int32)
+            rows = np.repeat(np.arange(len(found)), list(map(len, found)))
+            keep = self.distances(block, centers[rows]) <= radius
+            sizes.append(np.bincount(rows[keep], minlength=len(found)))
+            kept = block[keep]
+            cols[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        return np.concatenate(sizes).cumsum(), cols[:filled]
 
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:

@@ -80,11 +80,9 @@ def partition(ds: Dataset, n_sites: int, seed: int) -> list[Dataset]:
     """
     if n_sites < 1:
         raise InputError(f"n_sites must be >= 1, got {n_sites}")
-    order = np.random.default_rng(seed).permutation(len(ds))
-    parts: list[list] = [[] for _ in range(n_sites)]
-    for pos, idx in enumerate(order):
-        parts[pos % n_sites].append(ds.points[idx])
-    return [Dataset(part, dim=ds.dim) for part in parts]
+    order = np.random.default_rng(seed).permutation(len(ds)).tolist()
+    return [Dataset([ds.points[i] for i in order[k::n_sites]], dim=ds.dim)
+            for k in range(n_sites)]
 
 
 def merge_streams(site_records: Sequence[Sequence[RepresentativeRecord]],

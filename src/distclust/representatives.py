@@ -4,10 +4,10 @@ Each object gets a static representation quality: the sum of (epsilon - d)
 margins over its closed epsilon-neighborhood, so densely surrounded, centrally
 located objects score highest. Selection repeatedly takes the object with the
 best dynamic quality (the same sum restricted to objects not yet covered by a
-chosen representative) and emits it together with two aggregates: the distance
-to the farthest newly covered object (cov_rad) and the count of newly covered
-objects (cov_cnt). The emitted stream is best-first and can be cut off at any
-point by the consumer.
+chosen representative) and emits it with two aggregates: the distance to the
+farthest newly covered object (cov_rad) and the count of newly covered objects
+(cov_cnt). The stream is best-first and can be cut off at any point. A site's
+neighborhoods all come from one closed-ball neighbour graph, built once.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, Point
+from .geometry import BallIndex, Dataset, Point, check_epsilon
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ class StopCriterion:
 def stat_rep_q(o: Point, epsilon: float, idx: BallIndex) -> float:
     """Static representation quality: sum of (epsilon - d) over the closed
     epsilon-neighborhood of o, including o's own epsilon term."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     _, dists = idx.query(o.coords, epsilon)
     return _margin_sum(epsilon, dists)
 
@@ -93,11 +93,9 @@ def stat_rep_q(o: Point, epsilon: float, idx: BallIndex) -> float:
 def dyn_rep_q(o: Point, epsilon: float, state: "SelectionState") -> float:
     """Dynamic representation quality of o: the static sum restricted to
     neighbors not yet covered by any chosen representative."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    ids, dists = state.index.query(o.coords, epsilon)
-    uncovered = [i not in state.covered for i in ids.tolist()]
-    return _margin_sum(epsilon, dists[np.array(uncovered, dtype=bool)])
+    if epsilon != state.epsilon:
+        raise InputError(f"epsilon {epsilon} is not the selection's epsilon {state.epsilon}")
+    return state._score(state._position(o))
 
 
 def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
@@ -108,38 +106,58 @@ def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
 
 class SelectionState:
     """Mutable state of one site's greedy selection, run as lazy ("accelerated")
-    greedy: Minoux 1978; CELF, Leskovec et al. 2007.
+    greedy: Minoux 1978; CELF, Leskovec et al. 2007. The site's closed
+    epsilon-balls are built once, as `BallIndex.graph` rows of int32 positions;
+    a score reads a row and its covered flags and recomputes the distances.
 
-    The heap holds one entry (-key, id) per candidate, where key bounds the
-    candidate's dynamic quality from above (it starts as the static quality).
-    The top entry is re-scored from the definition. If the score equals its
-    key, no candidate beats it and a tie with a lower id would sit above it,
-    so it is chosen; otherwise its key drops to the score. Covering objects
-    only removes non-negative terms from a left-to-right float sum, which
-    never raises it, so the keys stay bounds as objects get covered.
+    The heap holds one entry (-key, position) per candidate, positions in id
+    order; key bounds the candidate's dynamic quality from above (it starts as
+    the static quality). The top entry is re-scored from the definition. If the
+    score equals its key, no candidate beats it and a tie with a lower id would
+    sit above it, so it is chosen; otherwise its key drops to the score.
+    Covering objects only removes non-negative terms from a left-to-right float
+    sum, which never raises it, so the keys stay bounds as objects get covered.
     Already-covered objects stay candidates; ties break toward the lower id.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
-        if epsilon <= 0:
-            raise InputError(f"epsilon must be positive, got {epsilon}")
         self.dataset = dataset
-        self.epsilon = float(epsilon)
+        self.epsilon = check_epsilon(epsilon)
         self.site = int(site)
         self.index = BallIndex(dataset.coords, dataset.ids)
-        self.covered: set[int] = set()
+        self._indptr, self._cols = self.index.graph(self.epsilon)
+        self._covered = np.zeros(len(dataset), dtype=bool)
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
+        self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
         self.next_seq = 0  # advanced by covering_stats, one commit per representative
-        self._heap = [(-stat_rep_q(p, self.epsilon, self.index), p.id) for p in dataset]
+        # Static keys, adding column c of every row at once: left to right, as `stat_rep_q` sums.
+        rows, sizes = np.arange(len(dataset)), np.diff(self._indptr)
+        keys = np.zeros(len(rows))
+        for c in range(sizes.max(initial=0)):
+            live = rows[sizes > c]
+            cols = self._cols[self._indptr[live] + c]
+            keys[live] += self.epsilon - self.index.distances(cols, self.index.coords[live])
+        self._heap = [(-key, pos) for pos, key in enumerate(keys.tolist())]
         heapq.heapify(self._heap)
 
-    def _evaluate(self, oid: int) -> float:
-        return dyn_rep_q(self.dataset.point(oid), self.epsilon, self)
+    def _position(self, o: Point) -> int:
+        self.dataset.point(o.id)  # InputError for an object of another site
+        return int(np.searchsorted(self.index.keys, o.id))
+
+    def _uncovered(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        # The row's objects not yet covered: positions, ascending, and distances.
+        cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
+        cols = cols[~self._covered[cols]]
+        return cols, self.index.distances(cols, self.index.coords[pos])
+
+    def _score(self, pos: int) -> float:
+        return _margin_sum(self.epsilon, self._uncovered(pos)[1])
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
-        return {oid: self._evaluate(oid) for oid in sorted(oid for _, oid in self._heap)}
+        return {int(self.index.keys[pos]): self._score(pos)
+                for pos in sorted(pos for _, pos in self._heap)}
 
     def run(self, stop: StopCriterion) -> Iterator[RepresentativeRecord]:
         """Greedy selection; yields records best-first, one per round.
@@ -149,15 +167,15 @@ class SelectionState:
         """
         limit = stop.resolve_count(len(self.dataset))
         while self._heap and (limit is None or len(self.chosen) < limit):
-            neg, oid = self._heap[0]
-            score = self._evaluate(oid)
+            neg, pos = self._heap[0]
+            score = self._score(pos)
             if score != -neg:
-                heapq.heapreplace(self._heap, (-score, oid))
+                heapq.heapreplace(self._heap, (-score, pos))
             elif stop.theta is not None and score <= stop.theta:
                 return  # not emitted; it stays a candidate, keyed by its exact score
             else:
                 heapq.heappop(self._heap)
-                rep = self.dataset.point(oid)
+                rep = self.dataset.point(int(self.index.keys[pos]))
                 seq = self.next_seq
                 cov_rad, cov_cnt, _ = covering_stats(rep, self)
                 record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
@@ -170,21 +188,18 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     and the commit of that coverage.
 
     Returns (cov_rad, cov_cnt, newly_covered_ids): the distance to the
-    farthest newly covered object (0 when nothing new is covered) and the
-    count of newly covered objects. Records `rep`'s seq as the owner of each
-    newly covered object. Candidate heap keys are left as they are: they stay
-    upper bounds, and each is re-scored when it reaches the top.
+    farthest newly covered object (0 when nothing new is covered), the count
+    of newly covered objects and their ids, ascending. Records `rep`'s seq as
+    the owner of each newly covered object. Candidate heap keys are left as
+    they are: they stay upper bounds, re-scored when they reach the top.
     """
-    ids, dists = state.index.query(rep.coords, state.epsilon)
-    newly = [(i, d) for i, d in zip(ids.tolist(), dists.tolist()) if i not in state.covered]
-    cov_cnt = len(newly)
-    cov_rad = max((d for _, d in newly), default=0.0)
-    seq = state.next_seq
+    cols, dists = state._uncovered(state._position(rep))
+    newly = state.index.keys[cols].tolist()
+    cov_rad = float(dists.max()) if newly else 0.0
+    state._covered[cols] = True
+    state.coverage_owner.update(zip(newly, repeat(state.next_seq)))
     state.next_seq += 1
-    for i, _ in newly:
-        state.covered.add(i)
-        state.coverage_owner[i] = seq
-    return cov_rad, cov_cnt, [i for i, _ in newly]
+    return cov_rad, len(newly), newly
 
 
 def record_to_json(rec: RepresentativeRecord) -> str:

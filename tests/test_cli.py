@@ -78,6 +78,16 @@ def test_local_rejects_a_nan_theta(tmp_path, capsys):
     assert not reps.exists()
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_local_rejects_a_non_finite_eps(tmp_path, capsys, eps):
+    data = tmp_path / "d.csv"
+    run(["gen", "--kind", "C", "--seed", "1", "--out", data])
+    reps = tmp_path / "r.jsonl"
+    assert run(["local", "--in", data, "--eps", eps, "--budget", "0.05", "--out", reps]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not reps.exists()
+
+
 def test_local_rejects_budget_and_theta_together(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(["gen", "--kind", "C", "--seed", "1", "--out", data])

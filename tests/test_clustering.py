@@ -47,8 +47,9 @@ def test_enlarged_radius():
 
 
 def test_global_params_validation():
-    with pytest.raises(InputError):
-        GlobalParams(0.0, 3)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            GlobalParams(eps, 3)
     with pytest.raises(InputError):
         GlobalParams(1.0, 0)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import BallIndex, Dataset, InputError, Point, distance
+from distclust import BallIndex, Dataset, InputError, Point, distance, geometry
 from distclust.geometry import load_dataset_csv, save_dataset_csv
 
 
@@ -171,12 +171,23 @@ def boundary_cases(draw):
     return coords, coords[i], oracles.dist(coords[j], coords[i])
 
 
+def graph_rows(idx, radius):
+    """Each row's neighbour keys from the index's graph, in stored order."""
+    indptr, cols = idx.graph(radius)
+    assert cols.dtype == np.int32 and indptr.shape == (len(idx.keys) + 1,)
+    return [idx.keys[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(idx.keys))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(boundary_cases())
 def test_closed_ball_boundary_property_all_dims(case):
     coords, center, radius = case
     ds = make_dataset(coords)
-    assert ball_ids(ds, center, radius) == oracles.brute_range_ids(as_pairs(ds), center, radius)
+    pairs = as_pairs(ds)
+    assert ball_ids(ds, center, radius) == oracles.brute_range_ids(pairs, center, radius)
+    # The graph's rows: the center's row has a point exactly on its sphere.
+    for key, row in zip(ds.ids.tolist(), graph_rows(BallIndex(ds.coords, ds.ids), radius)):
+        assert row == sorted(oracles.brute_range_ids(pairs, ds.point(key).coords, radius))
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -189,6 +200,34 @@ def test_closed_ball_boundary_every_pair(rng, dim):
             radius = oracles.dist(q.coords, p.coords)
             keys, _ = idx.query(p.coords, radius)
             assert set(keys.tolist()) == oracles.brute_range_ids(pairs, p.coords, radius)
+            assert graph_rows(idx, radius)[p.id] == sorted(keys.tolist())
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_graph_rows_equal_queries(rng, monkeypatch, dim):
+    # Small blocks, so rows straddle block boundaries; shuffled keys, so
+    # stored order differs from input order.
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_ROWS", 7)
+    ds = random_dataset(rng, 60, dim=dim)
+    keys = rng.permutation(3 * len(ds))[:len(ds)]
+    idx = BallIndex(ds.coords, keys)
+    for radius in (0.0, 0.8, 2.5, 40.0):
+        rows = graph_rows(idx, radius)
+        for i, row in enumerate(rows):
+            assert row == idx.query(idx.coords[i], radius)[0].tolist()
+            assert idx.keys[i] in row
+
+
+def test_graph_of_empty_and_single_point_sets():
+    indptr, cols = BallIndex(np.empty((0, 3))).graph(1.0)
+    assert indptr.tolist() == [0] and cols.tolist() == []
+    assert graph_rows(BallIndex([[2.0, 3.0]], [9]), 1.0) == [[9]]
+
+
+@pytest.mark.parametrize("radius", [-0.5, float("nan"), float("inf")])
+def test_graph_rejects_bad_radius(radius):
+    with pytest.raises(InputError):
+        BallIndex(np.zeros((2, 2))).graph(radius)
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):

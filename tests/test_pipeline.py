@@ -162,6 +162,8 @@ def test_worker_error_crosses_the_process_boundary():
         run_pipeline(tiny_config(epsilon=0.0))
     with pytest.raises(InputError, match="epsilon must be positive"):
         run_pipeline(tiny_config(epsilon=0.0, concurrent=True))
+    with pytest.raises(InputError, match="epsilon must be positive and finite"):
+        run_pipeline(tiny_config(epsilon=float("inf"), concurrent=True))
     assert multiprocessing.active_children() == []
 
 

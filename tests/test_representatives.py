@@ -57,8 +57,11 @@ def test_stat_rep_q_matches_brute_force(rng):
 
 def test_stat_rep_q_rejects_bad_epsilon():
     ds = make_dataset([(0.0, 0.0)])
-    with pytest.raises(InputError):
-        stat_rep_q(ds.point(0), 0.0, BallIndex(ds.coords, ds.ids))
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            stat_rep_q(ds.point(0), eps, BallIndex(ds.coords, ds.ids))
+        with pytest.raises(InputError):
+            SelectionState(ds, eps)
 
 
 # ----------------------------------------------------------------- dyn_rep_q
@@ -109,6 +112,30 @@ def test_scores_equal_the_loop_sums_bit_for_bit(rng, dim):
     for p in ds:
         assert stat_rep_q(p, eps, state.index) == oracles.stat_rep_q_brute(pairs, p.id, eps)
         assert dyn_rep_q(p, eps, state) == oracles.dyn_rep_q_brute(pairs, p.id, eps, chosen_ids)
+
+
+def test_dyn_rep_q_reads_only_the_states_epsilon_and_objects():
+    ds = make_dataset([(0.0, 0.0), (0.5, 0.0)])
+    state = SelectionState(ds, 1.0)
+    for eps in (2.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            dyn_rep_q(ds.point(0), eps, state)
+    with pytest.raises(InputError):
+        dyn_rep_q(Point(7, (0.0, 0.0)), 1.0, state)
+    with pytest.raises(InputError):
+        covering_stats(Point(7, (0.0, 0.0)), state)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_initial_heap_keys_equal_stat_rep_q_bit_for_bit(rng, dim):
+    # The keys are summed column by column over the graph rows; they must be
+    # the very floats the per-query definition gives, or tie-breaks could flip.
+    ds = random_dataset(rng, 150, dim=dim, spread=4.0)
+    ds = Dataset(ds.points[::-1], dim=dim)  # input order unrelated to ids
+    for eps in (0.4, 1.5, 3.0):
+        state = SelectionState(ds, eps)
+        keys = {int(state.index.keys[pos]): -neg for neg, pos in state._heap}
+        assert keys == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
 
 
 # ------------------------------------------------------------------- selection
@@ -194,6 +221,20 @@ def test_selection_matches_naive_greedy(rng, stop):
         assert [(i, c) for i, _, c in got] == [(i, c) for i, _, c in expected]
         for (_, rad_got, _), (_, rad_exp, _) in zip(got, expected):
             assert rad_got == pytest.approx(rad_exp, rel=1e-9, abs=1e-12)
+        assert state.coverage_owner == expected_owner
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+@pytest.mark.parametrize("stop", [StopCriterion.error_bound(0.0), StopCriterion.size(9)],
+                         ids=["error_bound", "size"])
+def test_selection_matches_naive_greedy_in_other_dims(rng, dim, stop):
+    for n, eps in ((25, 0.25 * dim + 0.2), (70, 0.4 * dim + 0.3)):
+        ds = random_dataset(rng, n, dim=dim, spread=3.0 + dim)
+        records, state = run_selection(ds, eps, stop)
+        expected, expected_owner = oracles.naive_select(
+            as_pairs(ds), eps, size_bound=stop.resolve_count(n), theta=stop.theta,
+        )
+        assert [(r.point.id, r.cov_rad, r.cov_cnt) for r in records] == expected
         assert state.coverage_owner == expected_owner
 
 
