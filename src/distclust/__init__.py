@@ -6,7 +6,6 @@ from .clustering import (
     GlobalLabeling,
     GlobalParams,
     ReferenceLabeling,
-    enlarged_radius,
     global_dbscan,
     reference_dbscan,
 )

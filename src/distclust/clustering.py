@@ -4,10 +4,10 @@ The global algorithm is a weighted DBSCAN variant: every range query around a
 representative r uses the enlarged radius epsilon + cov_rad(r), and the core
 test sums the cov_cnt weights of the representatives found instead of counting
 them. With cov_rad = 0 and cov_cnt = 1 everywhere it degenerates term by term
-to the textbook algorithm that `reference_dbscan` runs as the centralized
-baseline. Both are one density expansion (`_expand`) over closed-ball
-`BallIndex` neighborhoods; they differ only in the query radius and in the
-weight of a neighborhood (the sum of cov_cnt, or the plain count).
+to the textbook algorithm that `reference_dbscan` computes as the centralized
+baseline. The two are independent: the global clustering is a density
+expansion (`_expand`) over `BallIndex` queries, as its reach is directed; the
+reference is the core-graph components over `BallIndex.pair_blocks`.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .errors import InputError
 from .geometry import BallIndex, Dataset, check_epsilon
@@ -68,13 +69,6 @@ class ReferenceLabeling:
         return len({v for v in self.labels.values() if v >= 1})
 
 
-def enlarged_radius(rep: RepresentativeRecord, params: GlobalParams) -> float:
-    """Query radius used around `rep` on the global site."""
-    if rep.cov_rad < 0:
-        raise InputError(f"cov_rad must be non-negative, got {rep.cov_rad}")
-    return params.epsilon + rep.cov_rad
-
-
 def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> GlobalLabeling:
     """Cluster representatives in input order with per-representative enlarged
     radii and cov_cnt-weighted core tests.
@@ -106,26 +100,52 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
 
 
 def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
-    """Textbook density-based clustering of the full dataset.
-
-    Closed epsilon-balls; a point is core when its neighborhood, itself
-    included, holds at least min_pts points. Visits points in dataset order.
-    Serves as the centralized baseline the distributed result is judged
-    against.
+    """Textbook density-based clustering of the full dataset (closed epsilon-balls;
+    a point is core when its ball, itself included, holds min_pts points), in
+    the closed form of the loop that visits points in dataset order (Gan & Tao,
+    SIGMOD 2015): the components of the core-core epsilon graph, numbered by
+    their lowest core row; a border point joins the lowest-numbered cluster
+    among its core neighbors; the rest is noise. The centralized baseline.
     """
-    index = BallIndex(ds.coords)
-    labels = _expand(
-        len(ds),
-        lambda i: index.query(ds.coords[i], params.epsilon)[0],
-        len,
-        params.min_pts,
-    )
-    return ReferenceLabeling({p.id: label for p, label in zip(ds.points, labels)})
+    n, min_pts = len(ds), params.min_pts
+    core = np.zeros(n, dtype=bool)
+    comp = np.arange(n)  # a core's component, named by its lowest core row so far
+    loose = [(np.empty(0, np.intp),) * 2]  # the pairs of non-core rows
+    for start, stop, rows, cols in BallIndex(ds.coords).pair_blocks(params.epsilon):
+        degree = np.bincount(rows - start, minlength=stop - start)
+        core[start:stop] = degree >= min_pts
+        few = degree[rows - start] < min_pts
+        loose.append((rows[few], cols[few]))
+        # Core-core pairs are folded in from the later row's block: a new core row
+        # takes the lowest name next to it, and pairs still between two names merge.
+        join = (cols < stop) & core[rows] & core[cols]
+        rows, cols = rows[join], cols[join]
+        np.minimum.at(comp, rows, comp[cols])
+        if (comp[rows] != comp[cols]).any():
+            comp = _merge(comp, comp[rows], comp[cols])
+    labels = np.zeros(n, dtype=np.int64)
+    labels[core] = np.unique(comp[core], return_inverse=True)[1] + 1
+    rows, cols = map(np.concatenate, zip(*loose))
+    rows, cols = rows[core[cols]], cols[core[cols]]
+    labels[rows] = n  # above every cluster id, lowered to the least one reached
+    np.minimum.at(labels, rows, labels[cols])
+    return ReferenceLabeling({p.id: label for p, label in zip(ds.points, labels.tolist())})
+
+
+def _merge(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`comp` with the components that edges a[k]-b[k] join named by their lowest name."""
+    names, ends = np.unique(np.concatenate((a, b)), return_inverse=True)
+    edges = coo_matrix((np.ones(len(a)), (ends[:len(a)], ends[len(a):])), shape=(len(names),) * 2)
+    part = csgraph.connected_components(edges, directed=False)[1]
+    rename = np.arange(len(comp))
+    rename[names] = names[np.unique(part, return_index=True)[1]][part]  # names ascend
+    return rename[comp]
 
 
 def _expand(n: int, neighborhood: Callable[[int], np.ndarray],
             weight: Callable[[np.ndarray], int], min_pts: int) -> list[int]:
-    """Density expansion over items 0..n-1, visited in that order.
+    """Density expansion over items 0..n-1, visited in that order; runs
+    `global_dbscan`, whose reach is directed.
 
     `neighborhood(i)` lists the items within reach of i (itself included) and
     i is core when `weight` of that list reaches min_pts. Returns a label per

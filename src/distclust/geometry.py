@@ -1,8 +1,8 @@
 """Points, datasets, Euclidean distance, and the closed-ball range index.
 
-Every neighborhood in the pipeline is a closed ball from `BallIndex`, one
-`query` or one row of its `graph`: a point at distance exactly ``radius`` from
-the center is included, in every dimension.
+Every neighborhood in the pipeline is a closed ball from `BallIndex`: one
+`query`, or a row's pairs from `pair_blocks` (and so from `graph`). A point at
+distance exactly ``radius`` from the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -19,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError
 
-GRAPH_BLOCK_ROWS = 32  # rows per tree call in BallIndex.graph; bounds its temporaries
+GRAPH_BLOCK_ROWS = 32  # rows per block of BallIndex.pair_blocks; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,6 @@ class BallIndex:
         self.coords = coords[order]
         self._tree = cKDTree(self.coords)
 
-    def _candidates(self, centers: np.ndarray, radius: float, **how):
-        # A slightly larger ball, for callers to cut back with `distances`: the
-        # tree compares squared distances, which can drop an exact-boundary row,
-        # and the added 1e-150 keeps the squared radius from going subnormal.
-        return self._tree.query_ball_point(centers, radius * (1 + 1e-9) + 1e-150, **how)
-
     def distances(self, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Distance from each row at `positions` to `centers` (one point, or one
         per position) by `coord_distance`'s formula, bit for bit everywhere."""
@@ -156,10 +149,23 @@ class BallIndex:
             raise InputError(f"query center has dimension {center.shape}, index has {self.dim}")
         if not radius >= 0:
             raise InputError(f"radius must be non-negative, got {radius}")
-        positions = np.array(self._candidates(center, radius, return_sorted=True), dtype=np.intp)
+        positions = np.array(self._tree.query_ball_point(center, _inflate(radius), return_sorted=True),
+                             dtype=np.intp)
         dists = self.distances(positions, center)
         keep = dists <= radius
         return self.keys[positions[keep]], dists[keep]
+
+    def pair_blocks(self, radius: float) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Every row's closed `radius`-ball, `GRAPH_BLOCK_ROWS` rows at a time: for each block
+        of rows start..stop-1, (start, stop, rows, cols), its pairs in no set order."""
+        if not 0 <= radius < math.inf:
+            raise InputError(f"pair radius must be finite and non-negative, got {radius}")
+        for start in range(0, len(self.keys), GRAPH_BLOCK_ROWS):
+            centers = self.coords[start:start + GRAPH_BLOCK_ROWS]
+            found = cKDTree(centers).sparse_distance_matrix(
+                self._tree, _inflate(radius), output_type="ndarray")
+            keep = self.distances(found["j"], centers[found["i"]]) <= radius
+            yield start, start + len(centers), found["i"][keep] + start, found["j"][keep]
 
     def graph(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """CSR arrays (indptr, cols) of every row's closed `radius`-ball: row i's ascending
@@ -167,19 +173,20 @@ class BallIndex:
         if not 0 <= radius < math.inf:  # an infinite radius would ask for all n * n pairs
             raise InputError(f"graph radius must be finite and non-negative, got {radius}")
         # The candidate count bounds the columns, so they fill one array in place.
-        cols = np.empty(self._candidates(self.coords, radius, return_length=True).sum(), np.int32)
+        counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)
+        cols = np.empty(counts.sum(), np.int32)
         filled, sizes = 0, [[0]]
-        for start in range(0, len(self.keys), GRAPH_BLOCK_ROWS):
-            centers = self.coords[start:start + GRAPH_BLOCK_ROWS]
-            found = self._candidates(centers, radius, return_sorted=True)
-            block = np.fromiter(chain.from_iterable(found), dtype=np.int32)
-            rows = np.repeat(np.arange(len(found)), list(map(len, found)))
-            keep = self.distances(block, centers[rows]) <= radius
-            sizes.append(np.bincount(rows[keep], minlength=len(found)))
-            kept = block[keep]
-            cols[filled:filled + len(kept)] = kept
-            filled += len(kept)
+        for start, stop, rows, block in self.pair_blocks(radius):
+            sizes.append(np.bincount(rows - start, minlength=stop - start))
+            cols[filled:filled + len(block)] = block[np.argsort(rows * len(self.keys) + block)]
+            filled += len(block)
         return np.concatenate(sizes).cumsum(), cols[:filled]
+
+
+def _inflate(radius: float) -> float:
+    # A larger ball for the tree, cut back with `distances`: squared distances can drop
+    # an exact-boundary row, and the 1e-150 keeps the squared radius from going subnormal.
+    return radius * (1 + 1e-9) + 1e-150
 
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:

@@ -145,14 +145,16 @@ class SelectionState:
         self.dataset.point(o.id)  # InputError for an object of another site
         return int(np.searchsorted(self.index.keys, o.id))
 
-    def _uncovered(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        # The row's objects not yet covered: positions, ascending, and distances.
+    def _uncovered(self, pos: int) -> np.ndarray:
+        # The row's objects not yet covered, as positions, ascending.
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
-        cols = cols[~self._covered[cols]]
-        return cols, self.index.distances(cols, self.index.coords[pos])
+        return cols[~self._covered[cols]]
 
     def _score(self, pos: int) -> float:
-        return _margin_sum(self.epsilon, self._uncovered(pos)[1])
+        cols = self._uncovered(pos)
+        if not len(cols):
+            return 0.0  # the empty sum, without computing distances
+        return _margin_sum(self.epsilon, self.index.distances(cols, self.index.coords[pos]))
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
@@ -193,7 +195,9 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     the owner of each newly covered object. Candidate heap keys are left as
     they are: they stay upper bounds, re-scored when they reach the top.
     """
-    cols, dists = state._uncovered(state._position(rep))
+    pos = state._position(rep)
+    cols = state._uncovered(pos)
+    dists = state.index.distances(cols, state.index.coords[pos])
     newly = state.index.keys[cols].tolist()
     cov_rad = float(dists.max()) if newly else 0.0
     state._covered[cols] = True

@@ -12,10 +12,10 @@ from distclust import (
     InputError,
     Point,
     RepresentativeRecord,
-    enlarged_radius,
     global_dbscan,
     reference_dbscan,
 )
+from distclust import geometry
 from distclust.clustering import (
     load_global_labels_csv,
     load_reference_labels_csv,
@@ -38,13 +38,6 @@ def labels_by_seq(labeling, site=0):
 
 
 # ------------------------------------------------------------- small helpers
-
-def test_enlarged_radius():
-    params = GlobalParams(1.0, 3)
-    assert enlarged_radius(rec((0, 0), cov_rad=0.0), params) == 1.0
-    assert enlarged_radius(rec((0, 0), cov_rad=1.0), params) == 2.0
-    assert enlarged_radius(rec((0, 0), cov_rad=0.3), params) == 1.3
-
 
 def test_global_params_validation():
     for eps in (0.0, float("nan"), float("inf")):
@@ -268,6 +261,7 @@ def test_reference_all_isolated_is_noise():
 
 def test_reference_empty_dataset():
     assert reference_dbscan(Dataset([], dim=2), GlobalParams(1.0, 3)).labels == {}
+    assert assert_reference_is_literal(Dataset([], dim=3), 1.0, 1) == {}
 
 
 def test_reference_matches_brute_force_blobs(rng):
@@ -306,6 +300,72 @@ def test_reference_matches_brute_force_high_dim(rng, dim):
         min_pts = int(rng.integers(2, 8))
         got = reference_dbscan(ds, GlobalParams(eps, min_pts))
         assert got.labels == oracles.literal_dbscan(pairs, eps, min_pts)
+
+
+def shuffled_dataset(rng, coords):
+    """Points in the given (dataset) order whose ids are a random permutation,
+    so id order and dataset order disagree."""
+    ids = rng.permutation(3 * len(coords))[:len(coords)].tolist()
+    return Dataset([Point(i, tuple(map(float, c))) for i, c in zip(ids, coords)], dim=len(coords[0]))
+
+
+def assert_reference_is_literal(ds, eps, min_pts):
+    got = reference_dbscan(ds, GlobalParams(eps, min_pts)).labels
+    assert got == oracles.literal_dbscan(as_pairs(ds), eps, min_pts)
+    return got
+
+
+def test_reference_border_goes_to_the_first_cluster_in_dataset_order():
+    # B (id 7) is within eps of a core of each cluster but not core itself.
+    # The right cluster comes first in dataset order, the left one has the
+    # lower ids: B and the numbering follow dataset order.
+    right = [Point(10 + k, (x,)) for k, x in enumerate((3.0, 3.4, 3.7, 4.0))]
+    left = [Point(k, (x,)) for k, x in enumerate((0.0, 0.3, 0.6, 1.0))]
+    ds = Dataset(right + left + [Point(7, (2.0,))])
+    got = assert_reference_is_literal(ds, 1.0, 4)
+    assert got == {**dict.fromkeys(range(10, 14), 1), **dict.fromkeys(range(4), 2), 7: 1}
+    # Reversed dataset order: the left cluster is found first and takes B.
+    got = assert_reference_is_literal(Dataset(ds.points[::-1]), 1.0, 4)
+    assert got[7] == got[0] == 1 and got[10] == 2
+
+
+def test_reference_lattice_at_exactly_eps():
+    # Spacing 0.25 is exact: every neighbour sits exactly on the sphere, inner
+    # points have degree exactly min_pts = 3 and the ends are border points. The
+    # last point lies 2**-40 beyond eps of its lattice neighbour, so it is noise.
+    xs = [0.25 * k for k in range(5)] + [0.25 * k for k in range(10, 15)] + [3.5 + 0.25 + 2 ** -40]
+    ds = make_dataset([(x,) for x in xs])
+    got = assert_reference_is_literal(ds, 0.25, 3)
+    assert list(got.values()) == [1] * 5 + [2] * 5 + [NOISE]
+
+
+def test_reference_min_pts_extremes(rng):
+    ds = shuffled_dataset(rng, rng.uniform(0, 10, size=(40, 2)))
+    # min_pts 1: every point is core, so an isolated point is its own cluster.
+    got = assert_reference_is_literal(ds, 0.4, 1)
+    assert NOISE not in got.values()
+    assert sorted(set(got.values())) == list(range(1, len(set(got.values())) + 1))
+    assert assert_reference_is_literal(ds, 0.4, len(ds) + 1) == dict.fromkeys(got, NOISE)
+
+
+def test_reference_single_point():
+    ds = Dataset([Point(5, (1.0, 2.0))])
+    assert assert_reference_is_literal(ds, 1.0, 1) == {5: 1}
+    assert assert_reference_is_literal(ds, 1.0, 2) == {5: NOISE}
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_reference_across_block_seams(rng, monkeypatch, dim, block_rows):
+    # Small blocks put pairs and clusters across block boundaries; shuffled ids
+    # keep dataset order apart from id order; eps equal to the distance from
+    # one point to its k-th nearest neighbour puts a point on the boundary.
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_ROWS", block_rows)
+    for trial in range(3):
+        coords = random_dataset(rng, int(rng.integers(20, 90)), dim=dim).coords
+        ds = shuffled_dataset(rng, coords)
+        eps = sorted(oracles.dist(coords[0], c) for c in coords)[int(rng.integers(2, 8))]
+        assert_reference_is_literal(ds, eps, int(rng.integers(2, 7)))
 
 
 # ------------------------------------------------------------------ file io

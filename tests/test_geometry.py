@@ -228,6 +228,8 @@ def test_graph_of_empty_and_single_point_sets():
 def test_graph_rejects_bad_radius(radius):
     with pytest.raises(InputError):
         BallIndex(np.zeros((2, 2))).graph(radius)
+    with pytest.raises(InputError):
+        next(BallIndex(np.zeros((2, 2))).pair_blocks(radius))
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):
