@@ -11,15 +11,16 @@ dataset with the same parameters.
 from __future__ import annotations
 
 import csv
-import multiprocessing
+import multiprocessing.forkserver
 import os
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -144,22 +145,33 @@ class PipelineResult:
         return len(self.merged)
 
 
-def _select_site(site_ds: Dataset, epsilon: float, stop: StopCriterion, site: int):
+def _select_site(site_ds: Dataset, epsilon: float, limit: int, site: int):
+    # Records, owners, and the seconds (init included) at each emission and in total.
     t0 = time.perf_counter()
     state = SelectionState(site_ds, epsilon, site=site)
-    records = list(state.run(stop))
-    return records, state.coverage_owner, time.perf_counter() - t0
+    records, stamps = [], []
+    for record in state.run(StopCriterion.size(limit)):
+        records.append(record)
+        stamps.append(time.perf_counter() - t0)
+    return records, state.coverage_owner, stamps, time.perf_counter() - t0
 
 
 def _worker_context():
-    # Workers fork from one single-threaded server that imported this package
-    # once; spawning would cost each worker a ~1 s numpy/scipy import. scipy
-    # is named too: the server ignores sys.path entries added at run time
-    # (Python 3.11), so it may fail, silently, to import this package.
+    # Workers fork from one single-threaded server that imported this package once
+    # (spawning costs each a ~1 s numpy/scipy import). Python 3.11's server ignores
+    # the sys.path it is handed, so it starts with this one as its PYTHONPATH.
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")  # Windows
     ctx = multiprocessing.get_context("forkserver")
-    ctx.set_forkserver_preload(["scipy.optimize", "scipy.spatial", __name__])
+    ctx.set_forkserver_preload([__name__])
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, sys.path))
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        os.environ.pop("PYTHONPATH")
+        if saved is not None:
+            os.environ["PYTHONPATH"] = saved
     return ctx
 
 
@@ -171,50 +183,56 @@ def run_pipeline(cfg: ExperimentConfig, budget: Budget | None = None,
     Pass `dataset`/`reference` to reuse work across runs; they must match the
     config's spec and params.
     """
-    budget = cfg.budgets[0] if budget is None else budget
-    stop = budget_to_stop(budget)
+    stops = [budget_to_stop(cfg.budgets[0] if budget is None else budget)]
     ds = dataset if dataset is not None else generate(cfg.dataset)
-    sites = partition(ds, cfg.n_sites, cfg.seed)
+    reference = reference if reference is not None else reference_dbscan(ds, cfg.params)
+    return next(_runs(cfg, ds, stops, reference))
 
-    site_args = (sites, repeat(cfg.epsilon), repeat(stop), range(cfg.n_sites))
+
+def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
+          reference: ReferenceLabeling) -> Iterator[PipelineResult]:
+    """One run per budget, in order, from one selection per site at its largest
+    count. Streams are prefix-stable: a budget of k records takes the first k,
+    their owners (the rest is uncovered) and the seconds until the k-th."""
+    sites = partition(ds, cfg.n_sites, cfg.seed)
+    limits = [[stop.resolve_count(len(site)) for site in sites] for stop in stops]
+    site_args = (sites, repeat(cfg.epsilon), map(max, zip(*limits)), range(cfg.n_sites))
     if cfg.concurrent:
         with ProcessPoolExecutor(max_workers=min(cfg.n_sites, os.cpu_count() or 1),
                                  mp_context=_worker_context()) as pool:
             outcomes = list(pool.map(_select_site, *site_args))
     else:
         outcomes = list(map(_select_site, *site_args))
-    site_records = [records for records, _, _ in outcomes]
-    owners = [owner for _, owner, _ in outcomes]
-    site_seconds = tuple(elapsed for _, _, elapsed in outcomes)
 
-    merged = merge_streams(site_records, cfg.merge_order)
-    t0 = time.perf_counter()
-    global_labeling = global_dbscan(merged, cfg.params)
-    global_seconds = time.perf_counter() - t0
+    for counts in limits:
+        site_records, owners, site_seconds = zip(*(
+            (recs, own, total) if k >= len(recs) else
+            (recs[:k], {o: q for o, q in own.items() if q < k}, stamps[k - 1])
+            for (recs, own, stamps, total), k in zip(outcomes, counts)))
+        merged = merge_streams(site_records, cfg.merge_order)
+        t0 = time.perf_counter()
+        global_labeling = global_dbscan(merged, cfg.params)
+        global_seconds = time.perf_counter() - t0
 
-    local_labelings = {
-        k: relabel_site((p.id for p in sites[k]), owners[k], global_labeling, k)
-        for k in range(cfg.n_sites)
-    }
-    distributed: dict[int, int] = {}
-    for labeling in local_labelings.values():
-        distributed.update(labeling.labels)
+        local_labelings = {k: relabel_site((p.id for p in site), owners[k], global_labeling, k)
+                           for k, site in enumerate(sites)}
+        distributed: dict[int, int] = {}
+        for labeling in local_labelings.values():
+            distributed.update(labeling.labels)
 
-    if reference is None:
-        reference = reference_dbscan(ds, cfg.params)
-    report = evaluate(distributed, reference.labels)
-    cost = transmission_cost(len(merged), len(ds), cfg.cost_model)
-    return PipelineResult(
-        dataset=ds, sites=sites, site_records=site_records, merged=merged,
-        global_labeling=global_labeling, local_labelings=local_labelings,
-        distributed=distributed, reference=reference, report=report, cost=cost,
-        site_seconds=site_seconds, global_seconds=global_seconds,
-    )
+        report = evaluate(distributed, reference.labels)
+        cost = transmission_cost(len(merged), len(ds), cfg.cost_model)
+        yield PipelineResult(
+            dataset=ds, sites=sites, site_records=list(site_records), merged=merged,
+            global_labeling=global_labeling, local_labelings=local_labelings,
+            distributed=distributed, reference=reference, report=report, cost=cost,
+            site_seconds=site_seconds, global_seconds=global_seconds,
+        )
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    fraction: float
+    fraction: Budget  # as given, so the count 1 and the fraction 1.0 stay apart
     n_sites: int
     quality: float
     bytes: int
@@ -224,10 +242,11 @@ class SweepRow:
 
 def sweep(cfg: ExperimentConfig, fractions: Sequence[Budget] | None = None,
           site_counts: Sequence[int] | None = None) -> list[SweepRow]:
-    """One pipeline run per (budget, site count) grid cell.
+    """One row per (site count, budget) cell, budgets inner and as given.
 
-    The dataset is generated once and the centralized reference is clustered
-    once; both are shared across cells.
+    The dataset is generated and the reference clustered once. Per site count,
+    each site selects once and every budget is sliced from its stream; a row's
+    `cpu_time` is what a run at that budget alone costs.
     """
     fractions = tuple(fractions) if fractions is not None else cfg.budgets
     if not fractions:
@@ -236,20 +255,16 @@ def sweep(cfg: ExperimentConfig, fractions: Sequence[Budget] | None = None,
     if not site_counts:
         raise InputError("empty site-count list")
 
+    stops = [budget_to_stop(frac) for frac in fractions]
     ds = generate(cfg.dataset)
     reference = reference_dbscan(ds, cfg.params)
     rows = []
     for n_sites in site_counts:
-        cell_cfg = replace(cfg, n_sites=n_sites)
-        for frac in fractions:
-            result = run_pipeline(cell_cfg, budget=frac, dataset=ds, reference=reference)
-            rows.append(SweepRow(
-                fraction=float(frac), n_sites=n_sites,
-                quality=result.report.matching_quality,
-                bytes=result.cost.bytes_distributed,
-                speedup=result.cost.speedup,
-                cpu_time=result.cpu_seconds,
-            ))
+        results = _runs(replace(cfg, n_sites=n_sites), ds, stops, reference)
+        for frac, result in zip(fractions, results):
+            rows.append(SweepRow(frac, n_sites, result.report.matching_quality,
+                                 result.cost.bytes_distributed, result.cost.speedup,
+                                 result.cpu_seconds))
     return rows
 
 

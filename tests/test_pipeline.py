@@ -1,12 +1,15 @@
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_dataset, random_dataset
-from distclust import InputError, StopCriterion
-from distclust.datagen import dataset_spec
+from distclust import InputError, StopCriterion, pipeline
+from distclust.clustering import reference_dbscan
+from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import (
     ExperimentConfig,
+    SweepRow,
     budget_to_stop,
     merge_streams,
     partition,
@@ -201,6 +204,86 @@ def test_sweep_quality_grows_with_budget():
     rows = sweep(tiny_config(), fractions=[0.05, 0.5], site_counts=[2])
     assert rows[1].quality >= rows[0].quality - 0.03
     assert rows[0].speedup > rows[1].speedup
+
+
+def kind_config(kind, seed, n_sites, **overrides):
+    params = CLUSTER_PARAMS[kind]
+    return ExperimentConfig(dataset=dataset_spec(kind, seed=seed), n_sites=n_sites,
+                            epsilon=params.epsilon, min_pts=params.min_pts, seed=seed, **overrides)
+
+
+def per_budget_rows(cfg, fractions, site_counts):
+    """The rows of independent per-budget runs, built as sweep builds them, cpu_time 0."""
+    ds = generate(cfg.dataset)
+    reference = reference_dbscan(ds, cfg.params)
+    rows = []
+    for n_sites in site_counts:
+        for frac in fractions:
+            result = run_pipeline(replace(cfg, n_sites=n_sites), budget=frac,
+                                  dataset=ds, reference=reference)
+            rows.append(SweepRow(frac, n_sites, result.report.matching_quality,
+                                 result.cost.bytes_distributed, result.cost.speedup, 0.0))
+    return rows
+
+
+def without_cpu_time(rows):
+    return [replace(row, cpu_time=0.0) for row in rows]
+
+
+@pytest.mark.parametrize("cfg, fractions, site_counts", [
+    pytest.param(kind_config("A", 20260809, 4), [0.01, 0.02, 0.05, 0.1, 0.2], [4], id="kind-A"),
+    pytest.param(tiny_config(), [0.1, 0.3], [1, 3, 7], id="site-grid"),
+    # Unsorted, repeated, count and fraction; 20 records exceed every 7-site share of 120.
+    pytest.param(tiny_config(), [0.3, 20, 0.05, 0.3, 1, 1.0], [7, 2], id="mixed-budgets"),
+    pytest.param(tiny_config(merge_order="concat"), [0.05, 0.5, 0.2], [3], id="concat"),
+])
+def test_sliced_sweep_equals_per_budget_runs(cfg, fractions, site_counts):
+    rows = sweep(cfg, fractions=fractions, site_counts=site_counts)
+    assert without_cpu_time(rows) == per_budget_rows(cfg, fractions, site_counts)
+    assert [type(row.fraction) for row in rows] == [type(f) for f in fractions * len(site_counts)]
+
+
+def test_concurrent_sweep_equals_sequential():
+    args = dict(fractions=[0.3, 0.05, 1.0, 4], site_counts=[1, 3])
+    assert without_cpu_time(sweep(tiny_config(concurrent=True), **args)) == without_cpu_time(
+        sweep(tiny_config(), **args))
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_keeps_count_and_fraction_budgets_apart(tmp_path):
+    # The count 1 (one record per site) and the fraction 1.0 (whole sites).
+    rows = sweep(kind_config("C", 1, 3), fractions=[1, 1.0])
+    assert [(type(r.fraction), r.bytes) for r in rows] == [(int, 3 * 108), (float, 1021 * 108)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["1", "1.0"]
+
+
+def test_sweep_cpu_time_is_each_budgets_own_run(monkeypatch):
+    select, outcomes = pipeline._select_site, []
+
+    def recording(*args):
+        outcomes.append(select(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(pipeline, "_select_site", recording)
+    cfg = tiny_config()
+    ds = generate(cfg.dataset)
+    budgets = [0.1, 0.5, 3, 0.3]
+    stops = [budget_to_stop(budget) for budget in budgets]
+    results = list(pipeline._runs(cfg, ds, stops, reference_dbscan(ds, cfg.params)))
+    assert len(outcomes) == cfg.n_sites  # one selection per site for all budgets
+    for records, _, stamps, total in outcomes:
+        assert len(stamps) == len(records)
+        assert stamps == sorted(stamps) and stamps[-1] <= total
+    # A budget's seconds per site: the stamp of its k-th record; 0.5 is the largest.
+    assert results[1].site_seconds == tuple(total for *_, total in outcomes)
+    for stop, result in zip(stops, results):
+        counts = [stop.resolve_count(len(site)) for site in result.sites]
+        assert [len(records) for records in result.site_records] == counts
+        assert result.site_seconds == tuple(
+            stamps[k - 1] if k < len(records) else total
+            for (records, _, stamps, total), k in zip(outcomes, counts))
 
 
 def test_sweep_rejects_empty_ranges():
