@@ -20,7 +20,7 @@ from .evaluation import (
     matching_quality,
     transmission_cost,
 )
-from .geometry import BallIndex, Dataset, Point, distance, load_dataset_csv, save_dataset_csv
+from .geometry import BallIndex, Dataset, Point, load_dataset_csv, save_dataset_csv
 from .pipeline import (
     ExperimentConfig,
     PipelineResult,

@@ -126,7 +126,7 @@ def cmd_relabel(args) -> int:
     ds = load_dataset_csv(args.dataset)
     owners = load_owners_csv(args.owners)
     global_labels = load_global_labels_csv(args.global_labels)
-    labeling = relabel_site((p.id for p in ds), owners, global_labels, args.site)
+    labeling = relabel_site(ds.ids.tolist(), owners, global_labels, args.site)
     save_local_labels_csv(labeling, args.out)
     print(f"site {args.site}: labeled {len(labeling.labels)} objects -> {args.out}")
     return 0

@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix, csgraph
 from .errors import InputError
 from .geometry import BallIndex, Dataset, check_epsilon
 from .representatives import RepresentativeRecord
-from .tables import read_int_table, write_int_table
+from .tables import read_int_table, write_table
 
 UNCLASSIFIED = -1
 NOISE = 0
@@ -129,7 +129,7 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     rows, cols = rows[core[cols]], cols[core[cols]]
     labels[rows] = n  # above every cluster id, lowered to the least one reached
     np.minimum.at(labels, rows, labels[cols])
-    return ReferenceLabeling({p.id: label for p, label in zip(ds.points, labels.tolist())})
+    return ReferenceLabeling(dict(zip(ds.ids.tolist(), labels.tolist())))
 
 
 def _merge(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,8 +179,8 @@ def _expand(n: int, neighborhood: Callable[[int], np.ndarray],
 
 
 def save_global_labels_csv(labeling: GlobalLabeling, path: str | Path) -> None:
-    write_int_table(path, GLOBAL_LABELS_HEADER,
-                    ((site, seq, cid) for (site, seq), cid in sorted(labeling.labels.items())))
+    write_table(path, GLOBAL_LABELS_HEADER,
+                ((site, seq, cid) for (site, seq), cid in sorted(labeling.labels.items())))
 
 
 def load_global_labels_csv(path: str | Path) -> GlobalLabeling:
@@ -190,7 +190,7 @@ def load_global_labels_csv(path: str | Path) -> GlobalLabeling:
 def save_reference_labels_csv(labeling: ReferenceLabeling | Mapping[int, int],
                               path: str | Path) -> None:
     labels = labeling.labels if isinstance(labeling, ReferenceLabeling) else labeling
-    write_int_table(path, REFERENCE_LABELS_HEADER, sorted(labels.items()))
+    write_table(path, REFERENCE_LABELS_HEADER, sorted(labels.items()))
 
 
 def load_reference_labels_csv(path: str | Path) -> ReferenceLabeling:

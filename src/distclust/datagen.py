@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import GlobalParams
 from .errors import InputError
-from .geometry import Dataset, Point
+from .geometry import Dataset
 
 Bounds = tuple[tuple[float, float], ...]
 
@@ -119,5 +119,4 @@ def generate(spec: DatasetSpec) -> Dataset:
     if n_noise:
         rows.append(rng.uniform(lows, highs, size=(n_noise, dim)))
 
-    points = [Point(i, tuple(row)) for i, row in enumerate(np.vstack(rows).tolist())]
-    return Dataset(points, dim=dim)
+    return Dataset(np.arange(spec.n_points), np.vstack(rows))

@@ -8,7 +8,6 @@ index is computed alongside as a matching-free cross-check.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -20,6 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
+from .tables import write_table
 
 _NOISE = 0
 
@@ -151,8 +151,5 @@ def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
 
 def write_cost_csv(rows: Iterable[tuple[float, TransmissionCost]], path: str | Path) -> None:
     """Cost figures as `frac,bytes_distributed,bytes_full,speedup` rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["frac", "bytes_distributed", "bytes_full", "speedup"])
-        for frac, cost in rows:
-            writer.writerow([frac, cost.bytes_distributed, cost.bytes_full, cost.speedup])
+    write_table(path, ["frac", "bytes_distributed", "bytes_full", "speedup"],
+                ((frac, cost.bytes_distributed, cost.bytes_full, cost.speedup) for frac, cost in rows))

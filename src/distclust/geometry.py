@@ -1,4 +1,4 @@
-"""Points, datasets, Euclidean distance, and the closed-ball range index.
+"""Points, datasets, and the closed-ball range index with its Euclidean distance.
 
 Every neighborhood in the pipeline is a closed ball from `BallIndex`: one
 `query`, or a row's pairs from `pair_blocks` (and so from `graph`). A point at
@@ -11,12 +11,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
+from .tables import write_table
 
 GRAPH_BLOCK_ROWS = 32  # rows per block of BallIndex.pair_blocks; bounds its temporaries
 
@@ -32,33 +33,14 @@ class Point:
         if not isinstance(self.id, int) or self.id < 0:
             raise InputError(f"point id must be a non-negative integer, got {self.id!r}")
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        if not self.coords:
+            raise InputError(f"point {self.id} has no coordinates")
         if not all(math.isfinite(c) for c in self.coords):
             raise InputError(f"point {self.id} has non-finite coordinates")
 
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimensionality.
-
-    This is the single metric seam for the whole package; every neighborhood
-    definition is expressed in terms of it.
-    """
-    if len(a.coords) != len(b.coords):
-        raise InputError(f"dimension mismatch: {len(a.coords)} vs {len(b.coords)}")
-    return coord_distance(a.coords, b.coords)
-
-
-def coord_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    # Plain left-to-right sum of squares; BallIndex computes the same
-    # expression so closed-ball membership agrees bit-for-bit.
-    s = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        s += d * d
-    return math.sqrt(s)
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -69,44 +51,46 @@ def check_epsilon(epsilon: float) -> float:
 
 
 class Dataset:
-    """An immutable collection of points with distinct ids and a fixed dimension."""
+    """Objects as two arrays: distinct non-negative int64 `ids` (n,) and finite
+    float64 `coords` (n, dim), row i holding object ids[i]. Iterating yields
+    `Point`s, built on demand."""
 
-    def __init__(self, points: Iterable[Point], dim: int | None = None):
-        self.points: tuple[Point, ...] = tuple(points)
-        if dim is None:
-            if not self.points:
-                raise InputError("an empty dataset needs an explicit dim")
-            dim = self.points[0].dim
-        if dim < 1:
-            raise InputError("dim must be positive")
-        self.dim = int(dim)
-        for p in self.points:
-            if p.dim != self.dim:
-                raise InputError(f"point {p.id} has {p.dim} coordinates, expected {self.dim}")
-        self._by_id = {p.id: p for p in self.points}
-        if len(self._by_id) != len(self.points):
-            raise InputError("duplicate point ids in dataset")
-        self.ids = np.array([p.id for p in self.points], dtype=np.int64)
-        self.coords = (
-            np.array([p.coords for p in self.points], dtype=np.float64)
-            if self.points
-            else np.empty((0, self.dim), dtype=np.float64)
-        )
+    def __init__(self, ids: Sequence[int] | np.ndarray, coords: Sequence[Sequence[float]] | np.ndarray):
+        try:
+            ids, coords = np.asarray(ids), np.asarray(coords, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise InputError(f"dataset ids and coordinates must be rectangular arrays: {e}") from None
+        if coords.ndim != 2 or coords.shape[1] < 1:
+            raise InputError(f"coordinates must be an (n, d) array with d >= 1, got shape {coords.shape}")
+        if ids.shape != (len(coords),):
+            raise InputError(f"need one id per row of {len(coords)}, got ids of shape {ids.shape}")
+        if len(ids) and not (ids.dtype.kind in "iu" and 0 <= ids.min() and ids.max() < 2**63):
+            raise InputError("object ids must be integers in [0, 2**63)")
+        ids = ids.astype(np.int64, copy=False)
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            raise InputError(f"object {ids[finite.argmin()]} has non-finite coordinates")
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise InputError(f"object id {repeated[0]} appears more than once in the dataset")
+        self.ids, self.coords, self.dim = ids, coords, coords.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
+        return map(Point, self.ids.tolist(), self.coords.tolist())
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self)
 
     def point(self, point_id: int) -> Point:
-        try:
-            return self._by_id[point_id]
-        except KeyError:
-            raise InputError(f"no point with id {point_id}") from None
-
-    def __contains__(self, point_id: int) -> bool:
-        return point_id in self._by_id
+        found = np.flatnonzero(self.ids == point_id)
+        if not len(found):
+            raise InputError(f"no point with id {point_id}")
+        return Point(int(self.ids[found[0]]), self.coords[found[0]].tolist())
 
 
 class BallIndex:
@@ -134,8 +118,10 @@ class BallIndex:
         self._tree = cKDTree(self.coords)
 
     def distances(self, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Distance from each row at `positions` to `centers` (one point, or one
-        per position) by `coord_distance`'s formula, bit for bit everywhere."""
+        """Euclidean distance from each row at `positions` to `centers` (one point,
+        or one per position): the square root of the squared coordinate differences
+        summed left to right, column 0 first. Every closed ball is cut by this one
+        formula, so membership agrees bit for bit in every dimension."""
         square = np.zeros(len(positions))
         for k in range(self.dim):
             diff = self.coords[positions, k] - centers[..., k]
@@ -191,11 +177,8 @@ def _inflate(radius: float) -> float:
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Write `id,c0,...,c{d-1}` header plus one row per point."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id"] + [f"c{k}" for k in range(ds.dim)])
-        for p in ds.points:
-            writer.writerow([p.id] + [repr(c) for c in p.coords])
+    write_table(path, ["id"] + [f"c{k}" for k in range(ds.dim)],
+                ([i, *row] for i, row in zip(ds.ids.tolist(), ds.coords.tolist())))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
@@ -208,14 +191,18 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         if len(header) < 2 or header[0] != "id" or header[1:] != [f"c{k}" for k in range(len(header) - 1)]:
             raise InputError(f"{path}: bad header {header!r}, expected id,c0,...")
         dim = len(header) - 1
-        points = []
+        ids, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != dim + 1:
                 raise InputError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
             try:
-                points.append(Point(int(row[0]), tuple(float(v) for v in row[1:])))
+                ids.append(int(row[0]))
+                rows.append([float(v) for v in row[1:]])
             except ValueError as e:
                 raise InputError(f"{path}:{lineno}: {e}") from None
-        return Dataset(points, dim=dim)
+    try:
+        return Dataset(ids, np.reshape(rows, (len(ids), dim)))
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None

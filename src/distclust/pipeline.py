@@ -10,7 +10,6 @@ dataset with the same parameters.
 
 from __future__ import annotations
 
-import csv
 import multiprocessing.forkserver
 import os
 import sys
@@ -31,6 +30,7 @@ from .evaluation import CostModel, QualityReport, TransmissionCost, evaluate, tr
 from .geometry import Dataset
 from .relabel import LocalLabeling, relabel_site
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
+from .tables import write_table
 
 Budget = float | int
 
@@ -81,9 +81,9 @@ def partition(ds: Dataset, n_sites: int, seed: int) -> list[Dataset]:
     """
     if n_sites < 1:
         raise InputError(f"n_sites must be >= 1, got {n_sites}")
-    order = np.random.default_rng(seed).permutation(len(ds)).tolist()
-    return [Dataset([ds.points[i] for i in order[k::n_sites]], dim=ds.dim)
-            for k in range(n_sites)]
+    order = np.random.default_rng(seed).permutation(len(ds))
+    parts = [order[k::n_sites] for k in range(n_sites)]
+    return [Dataset(ds.ids[part], ds.coords[part]) for part in parts]
 
 
 def merge_streams(site_records: Sequence[Sequence[RepresentativeRecord]],
@@ -214,7 +214,7 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
         global_labeling = global_dbscan(merged, cfg.params)
         global_seconds = time.perf_counter() - t0
 
-        local_labelings = {k: relabel_site((p.id for p in site), owners[k], global_labeling, k)
+        local_labelings = {k: relabel_site(site.ids.tolist(), owners[k], global_labeling, k)
                            for k, site in enumerate(sites)}
         distributed: dict[int, int] = {}
         for labeling in local_labelings.values():
@@ -269,9 +269,6 @@ def sweep(cfg: ExperimentConfig, fractions: Sequence[Budget] | None = None,
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["fraction", "n_sites", "quality", "bytes", "speedup", "cpu_time"])
-        for row in rows:
-            writer.writerow([row.fraction, row.n_sites, row.quality,
-                             row.bytes, row.speedup, row.cpu_time])
+    write_table(path, ["fraction", "n_sites", "quality", "bytes", "speedup", "cpu_time"],
+                ((row.fraction, row.n_sites, row.quality, row.bytes, row.speedup, row.cpu_time)
+                 for row in rows))

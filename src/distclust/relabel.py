@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .clustering import NOISE, GlobalLabeling
 from .errors import ConsistencyError
-from .tables import read_int_table, write_int_table
+from .tables import read_int_table, write_table
 
 LOCAL_LABELS_HEADER = ("id", "cluster_id", "owner_seq")
 OWNERS_HEADER = ("id", "owner_seq")
@@ -66,9 +66,9 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
 def save_local_labels_csv(labeling: LocalLabeling, path: str | Path) -> None:
     """Write `id,cluster_id,owner_seq` rows; owner_seq is -1 for uncovered."""
     provenance = labeling.provenance
-    write_int_table(path, LOCAL_LABELS_HEADER,
-                    ((oid, labeling.labels[oid], provenance[oid][1] if oid in provenance else -1)
-                     for oid in sorted(labeling.labels)))
+    write_table(path, LOCAL_LABELS_HEADER,
+                ((oid, labeling.labels[oid], provenance[oid][1] if oid in provenance else -1)
+                 for oid in sorted(labeling.labels)))
 
 
 def load_local_labels_csv(path: str | Path) -> dict[int, int]:
@@ -82,7 +82,7 @@ def save_owners_csv(coverage_owner: Mapping[int, int], path: str | Path) -> None
     Ownership is never transmitted; a site stores it next to its data so the
     relabeling step can run when the global labels come back.
     """
-    write_int_table(path, OWNERS_HEADER, sorted(coverage_owner.items()))
+    write_table(path, OWNERS_HEADER, sorted(coverage_owner.items()))
 
 
 def load_owners_csv(path: str | Path) -> dict[int, int]:

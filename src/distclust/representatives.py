@@ -142,8 +142,10 @@ class SelectionState:
         heapq.heapify(self._heap)
 
     def _position(self, o: Point) -> int:
-        self.dataset.point(o.id)  # InputError for an object of another site
-        return int(np.searchsorted(self.index.keys, o.id))
+        pos = int(np.searchsorted(self.index.keys, o.id))
+        if pos == len(self.index.keys) or self.index.keys[pos] != o.id:
+            raise InputError(f"object {o.id} is not in site {self.site}")
+        return pos
 
     def _uncovered(self, pos: int) -> np.ndarray:
         # The row's objects not yet covered, as positions, ascending.
@@ -177,7 +179,7 @@ class SelectionState:
                 return  # not emitted; it stays a candidate, keyed by its exact score
             else:
                 heapq.heappop(self._heap)
-                rep = self.dataset.point(int(self.index.keys[pos]))
+                rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
                 seq = self.next_seq
                 cov_rad, cov_cnt, _ = covering_stats(rep, self)
                 record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)

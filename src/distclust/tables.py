@@ -1,4 +1,5 @@
-"""Header-checked CSV tables of integers: the label and ownership files."""
+"""Header-checked CSV tables: one writer for every CSV the package writes, and the
+integer reader behind the label and ownership files."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Iterable, Sequence
 from .errors import InputError
 
 
-def write_int_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[int]]) -> None:
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from distclust import Dataset, Point
+from distclust import Dataset
 
 
 def make_dataset(coord_list, dim=None):
-    return Dataset([Point(i, tuple(c)) for i, c in enumerate(coord_list)], dim=dim)
+    """Objects 0..n-1 at the given coordinates; `dim` is needed only for an empty list."""
+    return Dataset(np.arange(len(coord_list)), np.reshape(coord_list, (len(coord_list), dim or -1)))
 
 
 def as_pairs(ds):

@@ -164,6 +164,26 @@ def test_global_rejects_the_same_stream_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [f"{2**70},3.0,1.0", "-4,3.0,1.0", "0,3.0,1.0", "3,3.0,nan"],
+                         ids=["id-2**70", "negative-id", "repeated-id", "nan-coord"])
+def test_local_rejects_a_bad_dataset_row(tmp_path, capsys, row):
+    data = tmp_path / "d.csv"
+    data.write_text("id,c0,c1\n0,1.0,2.0\n1,2.0,2.0\n2,1.5,2.5\n" + row + "\n")
+    reps = tmp_path / "r.jsonl"
+    assert run(["local", "--in", data, "--eps", "2.0", "--budget", "2", "--out", reps]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not reps.exists()
+
+
+def test_global_rejects_a_zero_dimensional_representative(tmp_path, capsys):
+    reps = tmp_path / "r.jsonl"
+    reps.write_text('{"site": 0, "seq": 0, "coords": [], "cov_rad": 0.0, "cov_cnt": 1}\n')
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, "--eps", "1.0", "--minpts", "1", "--out", out]) == 1
+    assert "bad representative record" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_relabel_rejects_another_sites_owners(tmp_path, capsys):
     for k, site in enumerate(partition(generate(dataset_spec("C", 1)), 2, 1)):
         save_dataset_csv(site, tmp_path / f"s{k}.csv")

@@ -260,8 +260,8 @@ def test_reference_all_isolated_is_noise():
 
 
 def test_reference_empty_dataset():
-    assert reference_dbscan(Dataset([], dim=2), GlobalParams(1.0, 3)).labels == {}
-    assert assert_reference_is_literal(Dataset([], dim=3), 1.0, 1) == {}
+    assert reference_dbscan(Dataset([], np.empty((0, 2))), GlobalParams(1.0, 3)).labels == {}
+    assert assert_reference_is_literal(Dataset([], np.empty((0, 3))), 1.0, 1) == {}
 
 
 def test_reference_matches_brute_force_blobs(rng):
@@ -306,7 +306,7 @@ def shuffled_dataset(rng, coords):
     """Points in the given (dataset) order whose ids are a random permutation,
     so id order and dataset order disagree."""
     ids = rng.permutation(3 * len(coords))[:len(coords)].tolist()
-    return Dataset([Point(i, tuple(map(float, c))) for i, c in zip(ids, coords)], dim=len(coords[0]))
+    return Dataset(ids, coords)
 
 
 def assert_reference_is_literal(ds, eps, min_pts):
@@ -319,13 +319,12 @@ def test_reference_border_goes_to_the_first_cluster_in_dataset_order():
     # B (id 7) is within eps of a core of each cluster but not core itself.
     # The right cluster comes first in dataset order, the left one has the
     # lower ids: B and the numbering follow dataset order.
-    right = [Point(10 + k, (x,)) for k, x in enumerate((3.0, 3.4, 3.7, 4.0))]
-    left = [Point(k, (x,)) for k, x in enumerate((0.0, 0.3, 0.6, 1.0))]
-    ds = Dataset(right + left + [Point(7, (2.0,))])
+    right, left = (3.0, 3.4, 3.7, 4.0), (0.0, 0.3, 0.6, 1.0)
+    ds = Dataset([10, 11, 12, 13, 0, 1, 2, 3, 7], [[x] for x in right + left + (2.0,)])
     got = assert_reference_is_literal(ds, 1.0, 4)
     assert got == {**dict.fromkeys(range(10, 14), 1), **dict.fromkeys(range(4), 2), 7: 1}
     # Reversed dataset order: the left cluster is found first and takes B.
-    got = assert_reference_is_literal(Dataset(ds.points[::-1]), 1.0, 4)
+    got = assert_reference_is_literal(Dataset(ds.ids[::-1], ds.coords[::-1]), 1.0, 4)
     assert got[7] == got[0] == 1 and got[10] == 2
 
 
@@ -349,7 +348,7 @@ def test_reference_min_pts_extremes(rng):
 
 
 def test_reference_single_point():
-    ds = Dataset([Point(5, (1.0, 2.0))])
+    ds = Dataset([5], [[1.0, 2.0]])
     assert assert_reference_is_literal(ds, 1.0, 1) == {5: 1}
     assert assert_reference_is_literal(ds, 1.0, 2) == {5: NOISE}
 

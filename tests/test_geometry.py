@@ -5,31 +5,11 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import BallIndex, Dataset, InputError, Point, distance, geometry
+from distclust import BallIndex, Dataset, InputError, Point, geometry
 from distclust.geometry import load_dataset_csv, save_dataset_csv
 
 
-def test_distance_examples():
-    assert distance(Point(0, (0, 0)), Point(1, (0, 0))) == 0.0
-    assert distance(Point(0, (0, 0)), Point(1, (3, 4))) == 5.0
-    assert distance(Point(0, (1, 2)), Point(1, (4, 6))) == 5.0
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(InputError):
-        distance(Point(0, (0, 0)), Point(1, (0, 0, 0)))
-
-
 coords2d = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
-
-
-@given(coords2d, coords2d, coords2d)
-def test_distance_symmetry_and_triangle(a, b, c):
-    pa, pb, pc = Point(0, a), Point(1, b), Point(2, c)
-    assert distance(pa, pb) == distance(pb, pa)
-    assert distance(pa, pc) <= distance(pa, pb) + distance(pb, pc) + 1e-9 * (
-        1 + distance(pa, pb) + distance(pb, pc)
-    )
 
 
 def test_point_rejects_non_finite_coords():
@@ -46,19 +26,51 @@ def test_point_rejects_negative_id():
 
 def test_dataset_rejects_duplicate_ids():
     with pytest.raises(InputError):
-        Dataset([Point(3, (0.0,)), Point(3, (1.0,))])
+        Dataset([3, 3], [[0.0], [1.0]])
+    with pytest.raises(InputError):
+        Dataset(np.array([4, 1, 4]), np.zeros((3, 2)))
 
 
 def test_dataset_rejects_mixed_dims():
     with pytest.raises(InputError):
-        Dataset([Point(0, (0.0,)), Point(1, (1.0, 2.0))])
+        Dataset([0, 1], [[0.0], [1.0, 2.0]])
 
 
 def test_empty_dataset_needs_dim():
     with pytest.raises(InputError):
-        Dataset([])
-    ds = Dataset([], dim=2)
-    assert len(ds) == 0
+        Dataset([], [])
+    ds = Dataset([], np.empty((0, 2)))
+    assert len(ds) == 0 and ds.dim == 2 and list(ds) == []
+
+
+@pytest.mark.parametrize("ids, coords", [
+    ([0, 1], [[0.0]]),                     # one id too many
+    ([0], [[0.0], [1.0]]),                 # one id too few
+    ([[0]], [[0.0]]),                      # ids not a vector
+    ([0], [0.0]),                          # coordinates not rows
+    ([0], [[]]),                           # zero columns
+    ([0, 1], [[0.0], [float("nan")]]),
+    ([0, 1], [[float("-inf")], [0.0]]),
+    ([-1], [[0.0]]),
+    ([2**63], [[0.0]]),                    # past int64
+    ([2**70], [[0.0]]),
+    ([1.5], [[0.0]]),                      # not an integer
+    ([0], [["x"]]),
+], ids=["long-ids", "short-ids", "2d-ids", "1d-coords", "no-columns", "nan", "inf",
+        "negative", "2**63", "2**70", "float-id", "text"])
+def test_dataset_rejects_bad_arrays(ids, coords):
+    with pytest.raises(InputError):
+        Dataset(ids, coords)
+
+
+def test_dataset_builds_points_from_rows():
+    ds = Dataset([5, 2], [[1.0, 2.0], [3.0, 4.0]])
+    assert list(ds) == [Point(5, (1.0, 2.0)), Point(2, (3.0, 4.0))]
+    assert ds.points == tuple(ds)
+    assert ds.point(2) == Point(2, (3.0, 4.0))
+    assert ds.ids.dtype == np.int64 and ds.coords.dtype == np.float64
+    with pytest.raises(InputError):
+        ds.point(7)
 
 
 def ball_ids(ds, center, radius):
@@ -72,7 +84,7 @@ def test_duplicate_coordinates_are_distinct_objects():
 
 
 def test_empty_dataset_index():
-    ds = Dataset([], dim=2)
+    ds = Dataset([], np.empty((0, 2)))
     assert ball_ids(ds, (5.0, 5.0), 100.0) == set()
 
 

@@ -57,6 +57,13 @@ def test_partition_more_sites_than_points(rng):
     assert len(parts) == 5
     assert sum(len(p) for p in parts) == 3
     assert {len(p) for p in parts} <= {0, 1}
+    ds = random_dataset(rng, 4, dim=3)
+    rows = dict(zip(ds.ids.tolist(), ds.coords.tolist()))
+    parts = partition(ds, 7, seed=1)
+    assert sorted(len(p) for p in parts) == [0, 0, 0, 1, 1, 1, 1]
+    for part in parts:
+        assert part.dim == 3 and part.coords.shape == (len(part), 3)
+        assert all(rows[i] == row for i, row in zip(part.ids.tolist(), part.coords.tolist()))
 
 
 def test_partition_deterministic(rng):

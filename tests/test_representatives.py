@@ -131,7 +131,7 @@ def test_initial_heap_keys_equal_stat_rep_q_bit_for_bit(rng, dim):
     # The keys are summed column by column over the graph rows; they must be
     # the very floats the per-query definition gives, or tie-breaks could flip.
     ds = random_dataset(rng, 150, dim=dim, spread=4.0)
-    ds = Dataset(ds.points[::-1], dim=dim)  # input order unrelated to ids
+    ds = Dataset(ds.ids[::-1], ds.coords[::-1])  # input order unrelated to ids
     for eps in (0.4, 1.5, 3.0):
         state = SelectionState(ds, eps)
         keys = {int(state.index.keys[pos]): -neg for neg, pos in state._heap}
@@ -191,7 +191,7 @@ def test_selection_matches_naive_greedy_on_tied_lattices(shape, eps, stop):
     # re-score reaches the next key, where a lower id may hold the same score.
     lattice = list(itertools.product(*(range(n) for n in shape)))
     ids = np.random.default_rng(len(lattice)).permutation(len(lattice)).tolist()
-    ds = Dataset([Point(i, tuple(map(float, c))) for i, c in zip(ids, lattice)], dim=len(shape))
+    ds = Dataset(ids, lattice)
     records, state = run_selection(ds, eps, stop)
     expected, expected_owner = oracles.naive_select(
         as_pairs(ds), eps, size_bound=stop.resolve_count(len(ds)), theta=stop.theta,
@@ -315,7 +315,7 @@ def test_error_bound_zero_stops_before_inert_records(rng):
 
 
 def test_empty_dataset_yields_empty_stream():
-    ds = Dataset([], dim=2)
+    ds = Dataset([], np.empty((0, 2)))
     records, _ = run_selection(ds, 1.0, StopCriterion.size(3))
     assert records == []
 
