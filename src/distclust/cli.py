@@ -77,17 +77,35 @@ def _params_from_args(args) -> GlobalParams:
     return GlobalParams(eps, minpts)
 
 
-def _add_dataset_args(p, with_params=False):
+def _config_from_args(args, n_sites: int, budgets: tuple) -> ExperimentConfig:
+    spec = _spec_from_args(args)
+    params = _params_from_args(args)
+    return ExperimentConfig(
+        dataset=spec, n_sites=n_sites, epsilon=params.epsilon, min_pts=params.min_pts,
+        budgets=budgets, cost_model=CostModel(args.bytes_per_object, args.bytes_per_aggregate),
+        seed=args.seed, merge_order=args.merge_order, concurrent=args.concurrent,
+    )
+
+
+def _add_dataset_args(p):
     p.add_argument("--kind", default="A", help="dataset kind: A, B, C or custom")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--n-points", type=int, default=None)
     p.add_argument("--n-clusters", type=int, default=None)
     p.add_argument("--noise-fraction", type=float, default=None)
-    if with_params:
-        p.add_argument("--eps", type=float, default=None,
-                       help="epsilon range (default: frozen value for the kind)")
-        p.add_argument("--minpts", type=int, default=None,
-                       help="MinPts threshold (default: frozen value for the kind)")
+
+
+def _add_run_args(p):
+    """The dataset, clustering and run options of `pipeline` and `sweep`."""
+    _add_dataset_args(p)
+    p.add_argument("--eps", type=float, default=None,
+                   help="epsilon range (default: frozen value for the kind)")
+    p.add_argument("--minpts", type=int, default=None,
+                   help="MinPts threshold (default: frozen value for the kind)")
+    p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
+    p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
+    p.add_argument("--bytes-per-object", type=int, default=100)
+    p.add_argument("--bytes-per-aggregate", type=int, default=4)
 
 
 def cmd_gen(args) -> int:
@@ -157,15 +175,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    spec = _spec_from_args(args)
-    params = _params_from_args(args)
-    cfg = ExperimentConfig(
-        dataset=spec, n_sites=args.sites, epsilon=params.epsilon, min_pts=params.min_pts,
-        budgets=(_parse_budget(args.budget),),
-        cost_model=CostModel(args.bytes_per_object, args.bytes_per_aggregate),
-        seed=args.seed, merge_order=args.merge_order, concurrent=args.concurrent,
-    )
-    result = run_pipeline(cfg)
+    result = run_pipeline(_config_from_args(args, args.sites, (_parse_budget(args.budget),)))
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_dataset_csv(result.dataset, outdir / "dataset.csv")
@@ -184,14 +194,7 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.sites:
         raise InputError("--sites needs at least one site count")
-    spec = _spec_from_args(args)
-    params = _params_from_args(args)
-    cfg = ExperimentConfig(
-        dataset=spec, n_sites=args.sites[0], epsilon=params.epsilon, min_pts=params.min_pts,
-        budgets=tuple(args.fractions),
-        cost_model=CostModel(args.bytes_per_object, args.bytes_per_aggregate),
-        seed=args.seed, merge_order=args.merge_order, concurrent=args.concurrent,
-    )
+    cfg = _config_from_args(args, args.sites[0], tuple(args.fractions))
     rows = sweep(cfg, fractions=args.fractions, site_counts=args.sites)
     write_sweep_csv(rows, args.out)
     print(f"{len(rows)} sweep rows -> {args.out}")
@@ -247,25 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="full distributed run on a generated dataset")
-    _add_dataset_args(p, with_params=True)
+    _add_run_args(p)
     p.add_argument("--sites", type=int, default=4)
     p.add_argument("--budget", default="0.05")
-    p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
-    p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
-    p.add_argument("--bytes-per-object", type=int, default=100)
-    p.add_argument("--bytes-per-aggregate", type=int, default=4)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("sweep", help="grid of pipeline runs, CSV output")
-    _add_dataset_args(p, with_params=True)
+    _add_run_args(p)
     p.add_argument("--fractions", type=_parse_floats, default=[0.01, 0.02, 0.05, 0.1, 0.2],
                    help="comma list of per-site budgets")
     p.add_argument("--sites", type=_parse_ints, default=[4], help="comma list of site counts")
-    p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
-    p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
-    p.add_argument("--bytes-per-object", type=int, default=100)
-    p.add_argument("--bytes-per-aggregate", type=int, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

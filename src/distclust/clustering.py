@@ -1,13 +1,14 @@
 """Global clustering of representative streams, plus a centralized reference.
 
-The global algorithm is a weighted DBSCAN variant: every range query around a
-representative r uses the enlarged radius epsilon + cov_rad(r), and the core
-test sums the cov_cnt weights of the representatives found instead of counting
+The global algorithm is a weighted DBSCAN variant: a representative r reaches
+the closed ball of the enlarged radius epsilon + cov_rad(r), and the core test
+sums the cov_cnt weights of the representatives reached instead of counting
 them. With cov_rad = 0 and cov_cnt = 1 everywhere it degenerates term by term
 to the textbook algorithm that `reference_dbscan` computes as the centralized
-baseline. The two are independent: the global clustering is a density
-expansion (`_expand`) over `BallIndex` queries, as its reach is directed; the
-reference is the core-graph components over `BallIndex.pair_blocks`.
+baseline. The two are independent algorithms over the same closed balls: the
+global clustering is a density expansion (`_expand`) over the directed reach
+graph that `BallIndex.graph` builds at per-row radii; the reference is the
+core-graph components over `BallIndex.pair_blocks`.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
@@ -84,18 +85,15 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     dims = {p.point.dim for p in records}
     if len(dims) != 1:
         raise InputError(f"representatives have mixed dimensions {sorted(dims)}")
-    coords = np.array([r.point.coords for r in records], dtype=np.float64)
+    counts = [r.cov_cnt for r in records]
+    if min(counts) < 0 or sum(counts) >= 2**63:  # so no int64 weight sum can wrap
+        raise InputError(f"cov_cnt must be non-negative and total below 2**63, got total {sum(counts)}")
     cov_rad = np.array([r.cov_rad for r in records], dtype=np.float64)
-    cov_cnt = np.array([r.cov_cnt for r in records], dtype=np.int64)
-    if (cov_rad < 0).any() or not np.isfinite(cov_rad).all() or (cov_cnt < 0).any():
-        raise InputError("coverage aggregates must be non-negative and finite")
-    index = BallIndex(coords)
-    labels = _expand(
-        len(records),
-        lambda i: index.query(coords[i], params.epsilon + cov_rad[i])[0],
-        lambda nbrs: int(cov_cnt[nbrs].sum()),
-        params.min_pts,
-    )
+    if (cov_rad < 0).any() or not np.isfinite(cov_rad).all():
+        raise InputError("coverage radii must be non-negative and finite")
+    coords = np.array([r.point.coords for r in records], dtype=np.float64)
+    indptr, cols = BallIndex(coords).graph(params.epsilon + cov_rad)
+    labels = _expand(indptr, cols, np.array(counts, dtype=np.int64), params.min_pts)
     return GlobalLabeling({rec.key: label for rec, label in zip(records, labels)})
 
 
@@ -142,22 +140,23 @@ def _merge(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rename[comp]
 
 
-def _expand(n: int, neighborhood: Callable[[int], np.ndarray],
-            weight: Callable[[np.ndarray], int], min_pts: int) -> list[int]:
-    """Density expansion over items 0..n-1, visited in that order; runs
-    `global_dbscan`, whose reach is directed.
+def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: int) -> list[int]:
+    """Density expansion over the rows of a directed CSR graph, visited in row
+    order; runs `global_dbscan`.
 
-    `neighborhood(i)` lists the items within reach of i (itself included) and
-    i is core when `weight` of that list reaches min_pts. Returns a label per
-    item: NOISE or a cluster id 1..K in discovery order.
+    Row i lists the rows within reach of i (itself included), and i is core
+    when the int64 sum of `weight` over that list reaches min_pts; each sum is
+    taken when its row is first read. Returns a label per row: NOISE or a
+    cluster id 1..K in discovery order.
     """
-    labels = [UNCLASSIFIED] * n
+    indptr = indptr.tolist()
+    labels = [UNCLASSIFIED] * (len(indptr) - 1)
     next_cluster = 1
-    for start in range(n):
+    for start in range(len(labels)):
         if labels[start] != UNCLASSIFIED:
             continue
-        seeds = neighborhood(start)
-        if weight(seeds) < min_pts:
+        seeds = cols[indptr[start]:indptr[start + 1]]
+        if weight[seeds].sum() < min_pts:
             labels[start] = NOISE
             continue
         seeds = seeds.tolist()
@@ -166,8 +165,9 @@ def _expand(n: int, neighborhood: Callable[[int], np.ndarray],
                 labels[s] = next_cluster
         frontier = deque(s for s in seeds if s != start)
         while frontier:
-            nbrs = neighborhood(frontier.popleft())
-            if weight(nbrs) >= min_pts:
+            row = frontier.popleft()
+            nbrs = cols[indptr[row]:indptr[row + 1]]
+            if weight[nbrs].sum() >= min_pts:
                 for q in nbrs.tolist():
                     if labels[q] == UNCLASSIFIED:
                         frontier.append(q)

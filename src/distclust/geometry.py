@@ -1,7 +1,8 @@
 """Points, datasets, and the closed-ball range index with its Euclidean distance.
 
-Every neighborhood in the pipeline is a closed ball from `BallIndex`: one
-`query`, or a row's pairs from `pair_blocks` (and so from `graph`). A point at
+Every neighborhood in the pipeline is a row's closed ball from
+`BallIndex.pair_blocks` (and so from `graph`), at one radius or one per row;
+`query` is the single-ball definition they are tested against. A point at
 distance exactly ``radius`` from the center is included, in every dimension.
 """
 
@@ -141,23 +142,22 @@ class BallIndex:
         keep = dists <= radius
         return self.keys[positions[keep]], dists[keep]
 
-    def pair_blocks(self, radius: float) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Every row's closed `radius`-ball, `GRAPH_BLOCK_ROWS` rows at a time: for each block
-        of rows start..stop-1, (start, stop, rows, cols), its pairs in no set order."""
-        if not 0 <= radius < math.inf:
-            raise InputError(f"pair radius must be finite and non-negative, got {radius}")
+    def pair_blocks(self, radius: float | np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Every row's closed ball (`radius`: one, or one per row), `GRAPH_BLOCK_ROWS` rows at a
+        time: for each block of rows start..stop-1, (start, stop, rows, cols), its pairs unordered."""
+        radius = self._check_radius(radius)
         for start in range(0, len(self.keys), GRAPH_BLOCK_ROWS):
             centers = self.coords[start:start + GRAPH_BLOCK_ROWS]
+            limit = radius[start:start + len(centers)]
             found = cKDTree(centers).sparse_distance_matrix(
-                self._tree, _inflate(radius), output_type="ndarray")
-            keep = self.distances(found["j"], centers[found["i"]]) <= radius
+                self._tree, _inflate(limit.max()), output_type="ndarray")
+            keep = self.distances(found["j"], centers[found["i"]]) <= limit[found["i"]]
             yield start, start + len(centers), found["i"][keep] + start, found["j"][keep]
 
-    def graph(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """CSR arrays (indptr, cols) of every row's closed `radius`-ball: row i's ascending
-        int32 positions cols[indptr[i]:indptr[i + 1]] are the rows `query` finds."""
-        if not 0 <= radius < math.inf:  # an infinite radius would ask for all n * n pairs
-            raise InputError(f"graph radius must be finite and non-negative, got {radius}")
+    def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, cols) of every row's closed ball (`radius`: one, or one per row):
+        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows `query` finds."""
+        radius = self._check_radius(radius)
         # The candidate count bounds the columns, so they fill one array in place.
         counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)
         cols = np.empty(counts.sum(), np.int32)
@@ -168,8 +168,15 @@ class BallIndex:
             filled += len(block)
         return np.concatenate(sizes).cumsum(), cols[:filled]
 
+    def _check_radius(self, radius: float | np.ndarray) -> np.ndarray:
+        # One radius per row; an infinite one would ask for all n * n pairs.
+        n, radius = len(self.keys), np.asarray(radius, dtype=np.float64)
+        if radius.shape not in ((), (n,)) or not np.all((0 <= radius) & (radius < math.inf)):
+            raise InputError(f"need one finite, non-negative radius or one per row of {n}, got {radius}")
+        return np.broadcast_to(radius, (n,))
 
-def _inflate(radius: float) -> float:
+
+def _inflate(radius: float | np.ndarray) -> float | np.ndarray:
     # A larger ball for the tree, cut back with `distances`: squared distances can drop
     # an exact-boundary row, and the 1e-150 keeps the squared radius from going subnormal.
     return radius * (1 + 1e-9) + 1e-150

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -218,19 +218,13 @@ def record_to_json(rec: RepresentativeRecord) -> str:
     })
 
 
-def write_records_jsonl(records: Iterable[RepresentativeRecord], dest: str | Path | IO[str]) -> int:
+def write_records_jsonl(records: Iterable[RepresentativeRecord], path: str | Path) -> int:
     """Write one JSON object per line, in stream order; returns the record count."""
-    if hasattr(dest, "write"):
-        return _write_records(records, dest)
-    with open(dest, "w") as f:
-        return _write_records(records, f)
-
-
-def _write_records(records: Iterable[RepresentativeRecord], f: IO[str]) -> int:
     n = 0
-    for rec in records:
-        f.write(record_to_json(rec) + "\n")
-        n += 1
+    with open(path, "w") as f:
+        for rec in records:
+            f.write(record_to_json(rec) + "\n")
+            n += 1
     return n
 
 

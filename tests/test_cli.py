@@ -184,6 +184,18 @@ def test_global_rejects_a_zero_dimensional_representative(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("counts", [[2**70], [2**62, 2**62]], ids=["2**70", "total-past-int64"])
+def test_global_rejects_cov_cnt_past_int64(tmp_path, capsys, counts):
+    reps = tmp_path / "r.jsonl"
+    reps.write_text("".join(json.dumps({"site": 0, "seq": k, "coords": [0.1 * k, 0.0],
+                                        "cov_rad": 0.0, "cov_cnt": c}) + "\n"
+                            for k, c in enumerate(counts)))
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, "--eps", "1", "--minpts", "2", "--out", out]) == 1
+    assert "error: cov_cnt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_relabel_rejects_another_sites_owners(tmp_path, capsys):
     for k, site in enumerate(partition(generate(dataset_spec("C", 1)), 2, 1)):
         save_dataset_csv(site, tmp_path / f"s{k}.csv")

@@ -222,6 +222,17 @@ def test_non_finite_or_negative_cov_rad_rejected(bad):
         global_dbscan(reps, GlobalParams(1.0, 1))
 
 
+def test_cov_cnt_total_past_int64_rejected():
+    # 2**70 does not fit int64; two counts of 2**62 do, but their weight sum would
+    # wrap negative and leave both records noise.
+    for counts in ([2**70], [2**62, 2**62]):
+        reps = [rec((0.1 * k, 0.0), cov_cnt=c, seq=k) for k, c in enumerate(counts)]
+        with pytest.raises(InputError, match=r"2\*\*63"):
+            global_dbscan(reps, GlobalParams(1.0, 2))
+    reps = [rec((0.0, 0.0), cov_cnt=2**62, seq=0), rec((0.1, 0.0), cov_cnt=2**62 - 1, seq=1)]
+    assert labels_by_seq(global_dbscan(reps, GlobalParams(1.0, 2**63 - 1))) == {0: 1, 1: 1}
+
+
 def test_global_matches_literal_transcription_5d(rng):
     # Five dimensions. Half the enlarged radii eps + cov_rad reach exactly to
     # some other representative (whenever it lies beyond eps), so closed-ball

@@ -223,11 +223,18 @@ def test_graph_rows_equal_queries(rng, monkeypatch, dim):
     ds = random_dataset(rng, 60, dim=dim)
     keys = rng.permutation(3 * len(ds))[:len(ds)]
     idx = BallIndex(ds.coords, keys)
-    for radius in (0.0, 0.8, 2.5, 40.0):
+    # One radius per row; half of them reach exactly to another row's point.
+    per_row = rng.uniform(0, 3, len(ds))
+    targets = rng.integers(0, len(ds), len(ds))
+    for i in range(0, len(ds), 2):
+        per_row[i] = oracles.dist(idx.coords[i], idx.coords[targets[i]])
+    for radius in (0.0, 0.8, 2.5, 40.0, per_row):
         rows = graph_rows(idx, radius)
         for i, row in enumerate(rows):
-            assert row == idx.query(idx.coords[i], radius)[0].tolist()
+            assert row == idx.query(idx.coords[i], np.broadcast_to(radius, len(rows))[i])[0].tolist()
             assert idx.keys[i] in row
+    for i in range(0, len(ds), 2):
+        assert idx.keys[targets[i]] in graph_rows(idx, per_row)[i]
 
 
 def test_graph_of_empty_and_single_point_sets():
@@ -236,7 +243,15 @@ def test_graph_of_empty_and_single_point_sets():
     assert graph_rows(BallIndex([[2.0, 3.0]], [9]), 1.0) == [[9]]
 
 
-@pytest.mark.parametrize("radius", [-0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("radius", [
+    -0.5, float("nan"), float("inf"),
+    pytest.param([1.0, float("nan")], id="row-nan"),
+    pytest.param([float("inf"), 1.0], id="row-inf"),
+    pytest.param([1.0, -0.5], id="row-negative"),
+    pytest.param([1.0, 1.0, 1.0], id="one-row-too-many"),
+    pytest.param([1.0], id="one-row-too-few"),
+    pytest.param([[1.0, 1.0]], id="not-a-vector"),
+])
 def test_graph_rejects_bad_radius(radius):
     with pytest.raises(InputError):
         BallIndex(np.zeros((2, 2))).graph(radius)
