@@ -24,7 +24,8 @@ from .datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from .errors import DistClustError, InputError
 from .evaluation import CostModel, evaluate, transmission_cost, write_cost_csv
 from .geometry import load_dataset_csv, save_dataset_csv
-from .pipeline import ExperimentConfig, budget_to_stop, merge_streams, run_pipeline, sweep, write_sweep_csv
+from .pipeline import (MERGE_ORDERS, ExperimentConfig, budget_to_stop, merge_streams, run_pipeline,
+                       sweep, write_sweep_csv)
 from .relabel import (
     load_local_labels_csv,
     load_owners_csv,
@@ -102,10 +103,14 @@ def _add_run_args(p):
                    help="epsilon range (default: frozen value for the kind)")
     p.add_argument("--minpts", type=int, default=None,
                    help="MinPts threshold (default: frozen value for the kind)")
-    p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
+    p.add_argument("--merge-order", choices=list(MERGE_ORDERS), default=MERGE_ORDERS[0])
     p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
-    p.add_argument("--bytes-per-object", type=int, default=100)
-    p.add_argument("--bytes-per-aggregate", type=int, default=4)
+    _add_cost_args(p)
+
+
+def _add_cost_args(p):
+    p.add_argument("--bytes-per-object", type=int, default=CostModel.bytes_per_object)
+    p.add_argument("--bytes-per-aggregate", type=int, default=CostModel.bytes_per_aggregate)
 
 
 def cmd_gen(args) -> int:
@@ -132,9 +137,16 @@ def cmd_local(args) -> int:
 
 
 def cmd_global(args) -> int:
+    params = GlobalParams(args.eps, args.minpts)
     streams = [read_records_jsonl(path) for path in args.reps]
+    for path, records in zip(args.reps, streams):
+        # A stream selected at this epsilon has cov_rad <= epsilon; wider ones could make every pair an edge.
+        for rec in records:
+            if rec.cov_rad > params.epsilon:
+                raise InputError(f"{path}: representative (site, seq) = {rec.key} has cov_rad "
+                                 f"{rec.cov_rad} > --eps {params.epsilon}")
     merged = merge_streams(streams, args.merge_order)
-    labeling = global_dbscan(merged, GlobalParams(args.eps, args.minpts))
+    labeling = global_dbscan(merged, params)
     save_global_labels_csv(labeling, args.out)
     print(f"{len(merged)} representatives -> {labeling.n_clusters} clusters -> {args.out}")
     return 0
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", nargs="+", required=True, help="JSONL stream files")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--minpts", type=int, required=True)
-    p.add_argument("--merge-order", choices=["interleave", "concat"], default="interleave")
+    p.add_argument("--merge-order", choices=list(MERGE_ORDERS), default=MERGE_ORDERS[0])
     p.add_argument("--out", required=True, help="global labels CSV")
     p.set_defaults(func=cmd_global)
 
@@ -245,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-out", default=None)
     p.add_argument("--n-reps", type=int, default=None)
     p.add_argument("--n-total", type=int, default=None)
-    p.add_argument("--bytes-per-object", type=int, default=100)
-    p.add_argument("--bytes-per-aggregate", type=int, default=4)
+    _add_cost_args(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="full distributed run on a generated dataset")
@@ -270,10 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DistClustError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DistClustError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
@@ -145,9 +145,9 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
     order; runs `global_dbscan`.
 
     Row i lists the rows within reach of i (itself included), and i is core
-    when the int64 sum of `weight` over that list reaches min_pts; each sum is
-    taken when its row is first read. Returns a label per row: NOISE or a
-    cluster id 1..K in discovery order.
+    when the int64 sum of `weight` over that list reaches min_pts; each row is
+    read at most once, as a start or off the frontier. Returns a label per
+    row: NOISE or a cluster id 1..K in discovery order.
     """
     indptr = indptr.tolist()
     labels = [UNCLASSIFIED] * (len(indptr) - 1)
@@ -155,15 +155,9 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
     for start in range(len(labels)):
         if labels[start] != UNCLASSIFIED:
             continue
-        seeds = cols[indptr[start]:indptr[start + 1]]
-        if weight[seeds].sum() < min_pts:
-            labels[start] = NOISE
-            continue
-        seeds = seeds.tolist()
-        for s in seeds:
-            if labels[s] in (UNCLASSIFIED, NOISE):
-                labels[s] = next_cluster
-        frontier = deque(s for s in seeds if s != start)
+        # A start is NOISE until its own row, which lists it, proves it core.
+        labels[start] = NOISE
+        frontier = deque([start])
         while frontier:
             row = frontier.popleft()
             nbrs = cols[indptr[row]:indptr[row + 1]]
@@ -174,7 +168,8 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
                         labels[q] = next_cluster
                     elif labels[q] == NOISE:
                         labels[q] = next_cluster
-        next_cluster += 1
+        if labels[start] != NOISE:
+            next_cluster += 1
     return labels
 
 
@@ -187,10 +182,8 @@ def load_global_labels_csv(path: str | Path) -> GlobalLabeling:
     return GlobalLabeling(read_int_table(path, GLOBAL_LABELS_HEADER, n_key=2))
 
 
-def save_reference_labels_csv(labeling: ReferenceLabeling | Mapping[int, int],
-                              path: str | Path) -> None:
-    labels = labeling.labels if isinstance(labeling, ReferenceLabeling) else labeling
-    write_table(path, REFERENCE_LABELS_HEADER, sorted(labels.items()))
+def save_reference_labels_csv(labeling: ReferenceLabeling, path: str | Path) -> None:
+    write_table(path, REFERENCE_LABELS_HEADER, sorted(labeling.labels.items()))
 
 
 def load_reference_labels_csv(path: str | Path) -> ReferenceLabeling:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -41,7 +40,7 @@ class CostModel:
     """Payload sizes in bytes: one per raw object, one per transmitted aggregate
     (each representative carries two aggregates)."""
 
-    bytes_per_object: int
+    bytes_per_object: int = 100
     bytes_per_aggregate: int = 4
 
     def __post_init__(self):
@@ -56,20 +55,24 @@ class TransmissionCost:
     speedup: float
 
 
-def _check_same_ids(dist: Mapping[int, int], ref: Mapping[int, int]) -> None:
+def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contingency table of two labelings of the same ids: sorted distributed
+    cluster ids, sorted reference ids and the int64 object count of each cell."""
     if dist.keys() != ref.keys():  # set comparison of the key views, nothing copied
-        only_d = len(set(dist) - set(ref))
-        only_r = len(set(ref) - set(dist))
-        raise InputError(
-            f"labelings cover different id sets ({only_d} extra distributed, {only_r} extra reference)"
-        )
-
-
-def _cluster_ids(labels: Mapping[int, int]) -> list[int]:
-    bad = [v for v in labels.values() if v < 0]
-    if bad:
-        raise InputError(f"labeling contains negative cluster ids, e.g. {bad[0]}")
-    return sorted({v for v in labels.values() if v != _NOISE})
+        raise InputError(f"labelings cover different id sets ({len(dist.keys() - ref.keys())} extra "
+                         f"distributed, {len(ref.keys() - dist.keys())} extra reference)")
+    try:
+        d = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))
+        r = np.fromiter(map(ref.__getitem__, dist), dtype=np.int64, count=len(dist))
+    except OverflowError:
+        raise InputError("labeling contains a cluster id outside 0..2**63-1") from None
+    for labels in (d, r):
+        if (labels < 0).any():
+            raise InputError(f"labeling contains negative cluster ids, e.g. {labels[labels < 0][0]}")
+    d_ids, d_row = np.unique(d, return_inverse=True)
+    r_ids, r_col = np.unique(r, return_inverse=True)
+    cells = np.bincount(d_row * len(r_ids) + r_col, minlength=len(d_ids) * len(r_ids))
+    return d_ids, r_ids, cells.reshape(len(d_ids), len(r_ids))
 
 
 def matching_quality(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
@@ -80,25 +83,19 @@ def matching_quality(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
     object only counts when both sides call it noise, or both sides put it
     into a matched cluster pair.
     """
-    _check_same_ids(dist, ref)
-    n = len(dist)
-    if n == 0:
+    return _matching_quality(*_table(dist, ref))
+
+
+def _matching_quality(d_ids: np.ndarray, r_ids: np.ndarray, table: np.ndarray) -> float:
+    if not table.size:
         return 1.0
-    d_ids = _cluster_ids(dist)
-    r_ids = _cluster_ids(ref)
-    counts = Counter((dist[i], ref[i]) for i in dist)
-    noise_both = counts.get((_NOISE, _NOISE), 0)
-    matched = 0
-    if d_ids and r_ids:
-        d_pos = {c: k for k, c in enumerate(d_ids)}
-        r_pos = {c: k for k, c in enumerate(r_ids)}
-        overlap = np.zeros((len(d_ids), len(r_ids)), dtype=np.int64)
-        for (dc, rc), cnt in counts.items():
-            if dc != _NOISE and rc != _NOISE:
-                overlap[d_pos[dc], r_pos[rc]] = cnt
+    d_noise, r_noise = int(d_ids[0] == _NOISE), int(r_ids[0] == _NOISE)  # ids ascend from 0
+    overlap = table[d_noise:, r_noise:]
+    matched = int(table[0, 0]) if d_noise and r_noise else 0
+    if overlap.size:
         rows, cols = linear_sum_assignment(overlap, maximize=True)
-        matched = int(overlap[rows, cols].sum())
-    return (matched + noise_both) / n
+        matched += int(overlap[rows, cols].sum())
+    return matched / int(table.sum())
 
 
 def adjusted_rand(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
@@ -108,19 +105,18 @@ def adjusted_rand(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
     denominator vanishes (both sides one cluster, or both all singletons) only
     arise for identical partitions and also return 1.0.
     """
-    _check_same_ids(dist, ref)
-    n = len(dist)
+    return _adjusted_rand(_table(dist, ref)[2])
 
-    def comb2(x: int) -> int:
-        return x * (x - 1) // 2
 
-    if comb2(n) == 0:
+def _adjusted_rand(table: np.ndarray) -> float:
+    def pairs(counts: np.ndarray) -> int:  # a Python int, so the products below cannot wrap
+        return int((counts * (counts - 1) // 2).sum())
+
+    all_pairs = pairs(table.sum())
+    if all_pairs == 0:
         return 1.0
-    pair_counts = Counter((dist[i], ref[i]) for i in dist)
-    sum_cells = sum(comb2(c) for c in pair_counts.values())
-    sum_rows = sum(comb2(c) for c in Counter(dist.values()).values())
-    sum_cols = sum(comb2(c) for c in Counter(ref.values()).values())
-    expected = sum_rows * sum_cols / comb2(n)
+    sum_cells, sum_rows, sum_cols = pairs(table), pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+    expected = sum_rows * sum_cols / all_pairs
     maximum = (sum_rows + sum_cols) / 2
     if maximum == expected:
         return 1.0
@@ -140,12 +136,13 @@ def transmission_cost(n_reps: int, n_total: int, model: CostModel) -> Transmissi
 
 def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
     """Full quality report for a distributed labeling against the reference."""
+    d_ids, r_ids, table = _table(dist, ref)
     return QualityReport(
-        matching_quality=matching_quality(dist, ref),
-        adjusted_rand=adjusted_rand(dist, ref),
+        matching_quality=_matching_quality(d_ids, r_ids, table),
+        adjusted_rand=_adjusted_rand(table),
         n_objects=len(dist),
-        n_clusters_distributed=len(_cluster_ids(dist)),
-        n_clusters_reference=len(_cluster_ids(ref)),
+        n_clusters_distributed=int(np.count_nonzero(d_ids)),
+        n_clusters_reference=int(np.count_nonzero(r_ids)),
     )
 
 

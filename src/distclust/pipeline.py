@@ -33,6 +33,7 @@ from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 from .tables import write_table
 
 Budget = float | int
+MERGE_ORDERS = ("interleave", "concat")
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,9 @@ class ExperimentConfig:
     epsilon: float
     min_pts: int
     budgets: tuple[Budget, ...] = (0.05,)
-    cost_model: CostModel = CostModel(bytes_per_object=100, bytes_per_aggregate=4)
+    cost_model: CostModel = CostModel()
     seed: int = 0
-    merge_order: str = "interleave"  # or "concat"
+    merge_order: str = MERGE_ORDERS[0]
     concurrent: bool = False
 
     def __post_init__(self):
@@ -54,7 +55,7 @@ class ExperimentConfig:
             raise InputError("at least one representative budget is required")
         for b in self.budgets:
             budget_to_stop(b)
-        if self.merge_order not in ("interleave", "concat"):
+        if self.merge_order not in MERGE_ORDERS:
             raise InputError(f"unknown merge order {self.merge_order!r}")
 
     @property

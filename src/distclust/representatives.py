@@ -121,7 +121,6 @@ class SelectionState:
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
-        self.dataset = dataset
         self.epsilon = check_epsilon(epsilon)
         self.site = int(site)
         self.index = BallIndex(dataset.coords, dataset.ids)
@@ -130,7 +129,7 @@ class SelectionState:
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
-        self.next_seq = 0  # advanced by covering_stats, one commit per representative
+        self.next_seq = 0  # advanced by `_commit`, once per representative
         # Static keys, adding column c of every row at once: left to right, as `stat_rep_q` sums.
         rows, sizes = np.arange(len(dataset)), np.diff(self._indptr)
         keys = np.zeros(len(rows))
@@ -147,16 +146,24 @@ class SelectionState:
             raise InputError(f"object {o.id} is not in site {self.site}")
         return pos
 
-    def _uncovered(self, pos: int) -> np.ndarray:
-        # The row's objects not yet covered, as positions, ascending.
+    def _uncovered(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        # The row's objects not yet covered, as positions, ascending, and their distances
+        # (none computed for an empty row).
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
-        return cols[~self._covered[cols]]
+        cols = cols[~self._covered[cols]]
+        return cols, self.index.distances(cols, self.index.coords[pos]) if len(cols) else np.empty(0)
 
     def _score(self, pos: int) -> float:
-        cols = self._uncovered(pos)
-        if not len(cols):
-            return 0.0  # the empty sum, without computing distances
-        return _margin_sum(self.epsilon, self.index.distances(cols, self.index.coords[pos]))
+        return _margin_sum(self.epsilon, self._uncovered(pos)[1])
+
+    def _commit(self, cols: np.ndarray, dists: np.ndarray) -> tuple[float, int, list[int]]:
+        # Covers the uncovered positions `cols` at distances `dists` from the next representative.
+        newly = self.index.keys[cols].tolist()
+        cov_rad = float(dists.max()) if newly else 0.0
+        self._covered[cols] = True
+        self.coverage_owner.update(zip(newly, repeat(self.next_seq)))
+        self.next_seq += 1
+        return cov_rad, len(newly), newly
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
@@ -169,10 +176,11 @@ class SelectionState:
         The generator computes a record only when the consumer asks for it, so
         closing it early cancels the remaining work.
         """
-        limit = stop.resolve_count(len(self.dataset))
+        limit = stop.resolve_count(len(self._covered))
         while self._heap and (limit is None or len(self.chosen) < limit):
             neg, pos = self._heap[0]
-            score = self._score(pos)
+            cols, dists = self._uncovered(pos)
+            score = _margin_sum(self.epsilon, dists)
             if score != -neg:
                 heapq.heapreplace(self._heap, (-score, pos))
             elif stop.theta is not None and score <= stop.theta:
@@ -181,7 +189,7 @@ class SelectionState:
                 heapq.heappop(self._heap)
                 rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
                 seq = self.next_seq
-                cov_rad, cov_cnt, _ = covering_stats(rep, self)
+                cov_rad, cov_cnt, _ = self._commit(cols, dists)
                 record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
                 self.chosen.append(record)
                 yield record
@@ -197,15 +205,7 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     the owner of each newly covered object. Candidate heap keys are left as
     they are: they stay upper bounds, re-scored when they reach the top.
     """
-    pos = state._position(rep)
-    cols = state._uncovered(pos)
-    dists = state.index.distances(cols, state.index.coords[pos])
-    newly = state.index.keys[cols].tolist()
-    cov_rad = float(dists.max()) if newly else 0.0
-    state._covered[cols] = True
-    state.coverage_owner.update(zip(newly, repeat(state.next_seq)))
-    state.next_seq += 1
-    return cov_rad, len(newly), newly
+    return state._commit(*state._uncovered(state._position(rep)))
 
 
 def record_to_json(rec: RepresentativeRecord) -> str:

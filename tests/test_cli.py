@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from distclust import dataset_spec, generate, partition, save_dataset_csv
@@ -210,4 +211,42 @@ def test_relabel_rejects_another_sites_owners(tmp_path, capsys):
     assert run(["relabel", "--dataset", tmp_path / "s0.csv", "--owners", tmp_path / "o1.csv",
                 "--global-labels", glabels, "--site", "0", "--out", out]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_cluster_id_past_int64(tmp_path, capsys):
+    dist, ref = tmp_path / "d.csv", tmp_path / "r.csv"
+    dist.write_text(f"id,cluster_id,owner_seq\n0,{2**63},0\n1,0,-1\n")
+    ref.write_text("id,cluster_id\n0,1\n1,0\n")
+    out = tmp_path / "report.json"
+    assert run(["eval", "--dist", dist, "--ref", ref, "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_global_rejects_a_stream_selected_with_a_larger_eps(tmp_path, capsys):
+    data, reps = tmp_path / "d.csv", tmp_path / "r.jsonl"
+    run(["gen", "--kind", "C", "--seed", "1", "--out", data])
+    assert run(["local", "--in", data, "--eps", "3", "--budget", "0.2", "--out", reps]) == 0
+    first = next(r for r in map(json.loads, reps.read_text().splitlines()) if r["cov_rad"] > 2)
+    capsys.readouterr()
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, "--eps", "2", "--minpts", "8", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{reps}: representative (site, seq) = (0, {first['seq']}) has cov_rad" in err
+    assert not out.exists()
+    assert run(["global", "--reps", reps, "--eps", "3", "--minpts", "8", "--out", out]) == 0
+
+
+def test_global_rejects_radii_that_span_the_data(tmp_path, capsys):
+    # Every pair would be an edge of the reach graph: 2.25 M for 1500 records.
+    # The first record's cov_rad equals eps, which a stream selected at eps can carry.
+    coords = np.random.default_rng(5).uniform(0, 100, size=(1500, 2))
+    reps = tmp_path / "r.jsonl"
+    reps.write_text("".join(json.dumps({"site": 0, "seq": k, "coords": c.tolist(),
+                                        "cov_rad": 2.0 if k == 0 else 1000.0, "cov_cnt": 1}) + "\n"
+                            for k, c in enumerate(coords)))
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, "--eps", "2", "--minpts", "4", "--out", out]) == 1
+    assert "(site, seq) = (0, 1) has cov_rad 1000.0 > --eps 2.0" in capsys.readouterr().err
     assert not out.exists()

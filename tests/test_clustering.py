@@ -117,6 +117,19 @@ def test_degenerate_reduction_to_reference(rng):
         }
 
 
+def assert_literal_weighted(coords, cov_rad, cov_cnt, params) -> list[int]:
+    """Global labels of the records, checked against the literal transcription."""
+    m = len(coords)
+    reps = [rec(coords[i], float(cov_rad[i]), int(cov_cnt[i]), seq=i) for i in range(m)]
+    got = labels_by_seq(global_dbscan(reps, params))
+    expected = oracles.literal_weighted_dbscan(
+        [(tuple(coords[i]), float(cov_rad[i]), int(cov_cnt[i])) for i in range(m)],
+        params.epsilon, params.min_pts,
+    )
+    assert got == dict(enumerate(expected))
+    return expected
+
+
 def test_global_matches_literal_transcription_random(rng):
     for trial in range(15):
         m = int(rng.integers(5, 120))
@@ -124,14 +137,25 @@ def test_global_matches_literal_transcription_random(rng):
         coords = rng.uniform(0, 12, size=(m, 2))
         cov_rad = rng.uniform(0, eps, size=m) * (rng.random(m) < 0.7)
         cov_cnt = rng.integers(0, 6, size=m)
+        assert_literal_weighted(coords, cov_rad, cov_cnt, GlobalParams(eps, int(rng.integers(2, 12))))
+    # Dims 1 and 3, cov_rad up to 2 eps and mostly zero weights: the wide, uneven
+    # reaches let later starts reach rows already NOISE or in an earlier cluster.
+    reached = 0  # trials where a NOISE start joins a later cluster and a core reaches an earlier one
+    for trial in range(30):
+        m = int(rng.integers(5, 120))
+        eps = float(rng.uniform(0.6, 1.8))
+        coords = rng.uniform(0, (40, 12)[trial % 2], size=(m, (1, 3)[trial % 2]))
+        cov_rad = rng.uniform(0, 2 * eps, size=m)
+        cov_cnt = rng.integers(1, 6, size=m) * (rng.random(m) < 0.4)
         params = GlobalParams(eps, int(rng.integers(2, 12)))
-        reps = [rec(coords[i], float(cov_rad[i]), int(cov_cnt[i]), seq=i) for i in range(m)]
-        got = labels_by_seq(global_dbscan(reps, params))
-        expected = oracles.literal_weighted_dbscan(
-            [(tuple(coords[i]), float(cov_rad[i]), int(cov_cnt[i])) for i in range(m)],
-            eps, params.min_pts,
-        )
-        assert got == dict(enumerate(expected))
+        label = np.array(assert_literal_weighted(coords, cov_rad, cov_cnt, params))
+        reach = np.linalg.norm(coords[:, None] - coords[None], axis=-1) <= (eps + cov_rad)[:, None]
+        core = reach @ cov_cnt >= params.min_pts
+        first_core = {c: np.flatnonzero(core & (label == c))[0] for c in set(label.tolist()) - {NOISE}}
+        was_noise = any(j < first_core[label[j]] for j in np.flatnonzero(label != NOISE))
+        earlier = (reach & core[:, None] & (label > NOISE) & (label < label[:, None])).any()
+        reached += was_noise and earlier
+    assert reached >= 10
 
 
 def test_planted_clusters_with_inert_singletons(rng):
@@ -246,14 +270,7 @@ def test_global_matches_literal_transcription_5d(rng):
             j = int(rng.integers(0, m))
             cov_rad[i] = max(0.0, oracles.dist(coords[i], coords[j]) - eps)
         cov_cnt = rng.integers(0, 6, size=m)
-        params = GlobalParams(eps, int(rng.integers(2, 12)))
-        reps = [rec(coords[i], float(cov_rad[i]), int(cov_cnt[i]), seq=i) for i in range(m)]
-        got = labels_by_seq(global_dbscan(reps, params))
-        expected = oracles.literal_weighted_dbscan(
-            [(tuple(coords[i]), float(cov_rad[i]), int(cov_cnt[i])) for i in range(m)],
-            eps, params.min_pts,
-        )
-        assert got == dict(enumerate(expected))
+        assert_literal_weighted(coords, cov_rad, cov_cnt, GlobalParams(eps, int(rng.integers(2, 12))))
 
 
 # ---------------------------------------------------------- reference dbscan

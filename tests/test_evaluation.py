@@ -4,7 +4,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from distclust import (
@@ -184,6 +184,34 @@ def test_report_is_single_line_json():
     assert parsed["n_objects"] == 10
     assert parsed["n_clusters_distributed"] == 1
     assert parsed["n_clusters_reference"] == 1
+
+
+CLUSTER_IDS = st.integers(0, 4) | st.just(2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(CLUSTER_IDS, CLUSTER_IDS), max_size=40))
+@example([])  # empty
+@example([(0, 0)] * 5)  # all noise
+@example([(7, 7)] * 3)  # one id on each side
+@example([(0, 3), (0, 3), (0, 0)])  # all noise against one id
+def test_report_counts_distinct_nonzero_ids(pairs):
+    dist = {i: d for i, (d, _) in enumerate(pairs)}
+    ref = {i: r for i, (_, r) in enumerate(pairs)}
+    report = evaluate(dist, ref)
+    assert report.n_objects == len(pairs)
+    assert report.n_clusters_distributed == len(set(dist.values()) - {0})
+    assert report.n_clusters_reference == len(set(ref.values()) - {0})
+    assert report.matching_quality == matching_quality(dist, ref)
+    assert report.adjusted_rand == adjusted_rand(dist, ref)
+    assert json.loads(report.to_json())["n_clusters_reference"] == report.n_clusters_reference
+
+
+@pytest.mark.parametrize("side", ["distributed", "reference"])
+def test_cluster_id_past_int64_rejected(side):
+    good, bad = {0: 1, 1: 0}, {0: 2**63, 1: 0}
+    with pytest.raises(InputError, match="2\\*\\*63"):
+        evaluate(*((bad, good) if side == "distributed" else (good, bad)))
 
 
 def test_cost_csv_format(tmp_path):
