@@ -8,7 +8,7 @@ to the textbook algorithm that `reference_dbscan` computes as the centralized
 baseline. The two are independent algorithms over the same closed balls: the
 global clustering is a density expansion (`_expand`) over the directed reach
 graph that `BallIndex.graph` builds at per-row radii; the reference is the
-core-graph components over `BallIndex.pair_blocks`.
+core-graph components over `BallIndex.pair_blocks` on a grid of epsilon/sqrt(d) cells.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
+from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .geometry import BallIndex, Dataset, check_epsilon
@@ -104,23 +105,29 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     SIGMOD 2015): the components of the core-core epsilon graph, numbered by
     their lowest core row; a border point joins the lowest-numbered cluster
     among its core neighbors; the rest is noise. The centralized baseline.
+
+    On a grid of cells under epsilon/sqrt(d) wide, a cell of min_pts rows is all core and joined:
+    its lowest row (witness) lists pairs, the rest only when no witness joins it to a near dense cell.
     """
-    n, min_pts = len(ds), params.min_pts
-    core = np.zeros(n, dtype=bool)
-    comp = np.arange(n)  # a core's component, named by its lowest core row so far
+    n, min_pts, index = len(ds), params.min_pts, BallIndex(ds.coords)
+    name, size, centre = _cells(ds.coords, params.epsilon)
+    dense = size >= min_pts
+    listed = np.flatnonzero(~dense | (name == np.arange(n)))  # sparse rows and dense cells' witnesses
+    core = dense.copy()
+    comp = np.where(dense, name, np.arange(n))  # a core's component, named by its lowest core row so far
     loose = [(np.empty(0, np.intp),) * 2]  # the pairs of non-core rows
-    for start, stop, rows, cols in BallIndex(ds.coords).pair_blocks(params.epsilon):
-        degree = np.bincount(rows - start, minlength=stop - start)
-        core[start:stop] = degree >= min_pts
-        few = degree[rows - start] < min_pts
-        loose.append((rows[few], cols[few]))
-        # Core-core pairs are folded in from the later row's block: a new core row
-        # takes the lowest name next to it, and pairs still between two names merge.
-        join = (cols < stop) & core[rows] & core[cols]
+    for start, stop, rows, cols in index.pair_blocks(params.epsilon, listed):
+        own, degree = np.unique(rows[~dense[rows]], return_counts=True)
+        core[own] = degree >= min_pts
+        loose.append((rows[~core[rows]], cols[~core[rows]]))
+        # Core-core pairs are folded in from the later (or the sparse) row's block: a new sparse
+        # core row takes the lowest name next to it; pairs still between two names merge.
+        join = ((cols < stop) | dense[cols]) & core[rows] & core[cols]
         rows, cols = rows[join], cols[join]
-        np.minimum.at(comp, rows, comp[cols])
-        if (comp[rows] != comp[cols]).any():
-            comp = _merge(comp, comp[rows], comp[cols])
+        np.minimum.at(comp, rows[~dense[rows]], comp[cols[~dense[rows]]])
+        comp = _merge(comp, comp[rows], comp[cols])
+    comp = _join_dense_cells(index, comp, core, name, listed[dense[listed]], centre, params.epsilon)
+    del index, name, size, centre  # not held while the labels and their dict are built
     labels = np.zeros(n, dtype=np.int64)
     labels[core] = np.unique(comp[core], return_inverse=True)[1] + 1
     rows, cols = map(np.concatenate, zip(*loose))
@@ -130,8 +137,35 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     return ReferenceLabeling(dict(zip(ds.ids.tolist(), labels.tolist())))
 
 
+def _cells(coords: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows binned on a grid of side just under epsilon/sqrt(d), so that any two rows of a
+    cell are within epsilon by `BallIndex.distances`: per row, its cell's lowest row, size
+    and centre. Past 2**24 cells on an axis, rounding in the binning could exceed that
+    margin; then each row is a cell of its own, of size 0 so that none is dense."""
+    side = epsilon / np.sqrt(coords.shape[1]) * (1 - 1e-6)
+    offset = (coords - coords.min(axis=0, initial=np.inf)) / side
+    if not (offset < 2**24).all():
+        return np.arange(len(coords)), np.zeros(len(coords), np.intp), coords
+    grid, first, cell, size = np.unique(np.floor(offset), axis=0, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    return first[cell], size[cell], (grid[cell] + 0.5) * side
+
+
+def _join_dense_cells(index: BallIndex, comp: np.ndarray, core: np.ndarray, name: np.ndarray,
+                      witness: np.ndarray, centre: np.ndarray, epsilon: float) -> np.ndarray:
+    """`comp` merged where a core pair joins two dense cells no witness joined: their centres
+    are within epsilon plus a diagonal (under epsilon), and all their rows' pairs are listed."""
+    near = witness[cKDTree(centre[witness]).query_pairs(2 * epsilon, output_type="ndarray")]
+    for _, _, rows, cols in index.pair_blocks(epsilon, np.flatnonzero(
+            np.isin(name, near[comp[near[:, 0]] != comp[near[:, 1]]]))):
+        comp = _merge(comp, comp[rows[core[cols]]], comp[cols[core[cols]]])
+    return comp
+
+
 def _merge(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`comp` with the components that edges a[k]-b[k] join named by their lowest name."""
+    if (a == b).all():
+        return comp
     names, ends = np.unique(np.concatenate((a, b)), return_inverse=True)
     edges = coo_matrix((np.ones(len(a)), (ends[:len(a)], ends[len(a):])), shape=(len(names),) * 2)
     part = csgraph.connected_components(edges, directed=False)[1]

@@ -61,6 +61,10 @@ def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray,
     if dist.keys() != ref.keys():  # set comparison of the key views, nothing copied
         raise InputError(f"labelings cover different id sets ({len(dist.keys() - ref.keys())} extra "
                          f"distributed, {len(ref.keys() - dist.keys())} extra reference)")
+    kinds = set(map(type, dist.values())) | set(map(type, ref.values()))
+    if not all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        bad = next(v for v in (*dist.values(), *ref.values()) if not isinstance(v, (int, np.integer)))
+        raise InputError(f"cluster ids must be integers, got {bad!r}")
     try:
         d = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))
         r = np.fromiter(map(ref.__getitem__, dist), dtype=np.int64, count=len(dist))

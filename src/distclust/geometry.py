@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .errors import InputError
 from .tables import write_table
 
-GRAPH_BLOCK_ROWS = 32  # rows per block of BallIndex.pair_blocks; bounds its temporaries
+GRAPH_BLOCK_PAIRS = 2**13  # candidate pairs per block of BallIndex.pair_blocks; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -142,17 +142,24 @@ class BallIndex:
         keep = dists <= radius
         return self.keys[positions[keep]], dists[keep]
 
-    def pair_blocks(self, radius: float | np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Every row's closed ball (`radius`: one, or one per row), `GRAPH_BLOCK_ROWS` rows at a
-        time: for each block of rows start..stop-1, (start, stop, rows, cols), its pairs unordered."""
+    def pair_blocks(self, radius: float | np.ndarray, rows: np.ndarray | None = None,
+                    counts: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """The closed balls of ascending positions `rows` (default: all) at `radius` (one, or one per
+        row of the index), in blocks of about `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known):
+        for each block of rows within start..stop-1, (start, stop, rows, cols), its pairs unordered."""
         radius = self._check_radius(radius)
-        for start in range(0, len(self.keys), GRAPH_BLOCK_ROWS):
-            centers = self.coords[start:start + GRAPH_BLOCK_ROWS]
-            limit = radius[start:start + len(centers)]
+        rows = np.arange(len(self.keys)) if rows is None else np.asarray(rows, dtype=np.intp)
+        if counts is None:
+            counts = self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]),
+                                                 return_length=True)
+        # A block ends where its candidates pass a multiple of the budget.
+        cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // GRAPH_BLOCK_PAIRS)) + 1
+        for block in np.split(rows, cuts) if len(rows) else ():
+            centers, limit = self.coords[block], radius[block]
             found = cKDTree(centers).sparse_distance_matrix(
                 self._tree, _inflate(limit.max()), output_type="ndarray")
             keep = self.distances(found["j"], centers[found["i"]]) <= limit[found["i"]]
-            yield start, start + len(centers), found["i"][keep] + start, found["j"][keep]
+            yield block[0], block[-1] + 1, block[found["i"][keep]], found["j"][keep]
 
     def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR arrays (indptr, cols) of every row's closed ball (`radius`: one, or one per row):
@@ -162,7 +169,7 @@ class BallIndex:
         counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)
         cols = np.empty(counts.sum(), np.int32)
         filled, sizes = 0, [[0]]
-        for start, stop, rows, block in self.pair_blocks(radius):
+        for start, stop, rows, block in self.pair_blocks(radius, counts=counts):
             sizes.append(np.bincount(rows - start, minlength=stop - start))
             cols[filled:filled + len(block)] = block[np.argsort(rows * len(self.keys) + block)]
             filled += len(block)

@@ -15,7 +15,7 @@ from distclust import (
     global_dbscan,
     reference_dbscan,
 )
-from distclust import geometry
+from distclust import BallIndex, clustering, geometry
 from distclust.clustering import (
     load_global_labels_csv,
     load_reference_labels_csv,
@@ -382,17 +382,125 @@ def test_reference_single_point():
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
-@pytest.mark.parametrize("block_rows", [1, 7])
-def test_reference_across_block_seams(rng, monkeypatch, dim, block_rows):
+@pytest.mark.parametrize("block_pairs", [1, 7])
+def test_reference_across_block_seams(rng, monkeypatch, dim, block_pairs):
     # Small blocks put pairs and clusters across block boundaries; shuffled ids
     # keep dataset order apart from id order; eps equal to the distance from
     # one point to its k-th nearest neighbour puts a point on the boundary.
-    monkeypatch.setattr(geometry, "GRAPH_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", block_pairs)
     for trial in range(3):
         coords = random_dataset(rng, int(rng.integers(20, 90)), dim=dim).coords
         ds = shuffled_dataset(rng, coords)
         eps = sorted(oracles.dist(coords[0], c) for c in coords)[int(rng.integers(2, 8))]
         assert_reference_is_literal(ds, eps, int(rng.integers(2, 7)))
+
+
+def two_cells(dim, a, b):
+    """Rows at t * side along axis 0 of the grid `reference_dbscan` bins with at eps 1
+    (side just under 1/sqrt(dim), so t in [k, k + 1) falls in cell k): rows a in cell 0,
+    then rows m + b in cell m. At m = int(sqrt(dim) + 0.85) the two cells' centres are
+    m * side apart, and rows at t 0.9 and m + 0.05 are still within eps."""
+    side, m = 1 / np.sqrt(dim) * (1 - 1e-6), int(np.sqrt(dim) + 0.85)
+    coords = np.full((len(a) + len(b), dim), 3.7)
+    coords[:, 0] += np.multiply(a + [m + t for t in b], side)
+    return Dataset(np.arange(len(coords)), coords)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reference_joins_dense_cells_that_only_members_link(dim):
+    # Each cell's lowest row (its witness, at t 0 and m + 0.95) is over eps from every row
+    # of the other cell, but the members at t 0.9 and m + 0.05 are within eps: one cluster.
+    ds = two_cells(dim, [0.0, 0.85, 0.9], [0.95, 0.05, 0.1])
+    assert assert_reference_is_literal(ds, 1.0, 3) == dict.fromkeys(range(6), 1)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reference_keeps_apart_dense_cells_that_no_pair_links(dim):
+    # Same cells, every cross pair over eps apart: the cells' centres are close enough
+    # for the exact check, and it finds no link.
+    ds = two_cells(dim, [0.0, 0.3, 0.4], [0.95, 0.5, 0.6])
+    assert assert_reference_is_literal(ds, 1.0, 3) == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reference_later_witness_renames_its_whole_cell(dim):
+    # Only the second cell's witness (t m + 0.05) reaches the first cell, at its member
+    # t 0.9: the second cell joins the first whole, not its witness alone.
+    ds = two_cells(dim, [0.0, 0.85, 0.9], [0.05, 0.5, 0.6])
+    assert assert_reference_is_literal(ds, 1.0, 3) == dict.fromkeys(range(6), 1)
+
+
+# For these eps, a cell side of exactly eps/sqrt(d) rounds its opposite corners over eps apart.
+CORNERS_OVER_EPS_WITHOUT_MARGIN = {3: [11.95714189912263], 6: [15.199478502542625, 13.66359756103564]}
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reference_opposite_corners_of_a_cell(rng, dim):
+    # The far corner is the farthest point the grid still bins with the origin: the two
+    # lie side * sqrt(d) apart to a few ulps, and the cell is dense at min_pts 2 only if
+    # they are within eps. The grid's side is read off the centre it reports for the origin.
+    for eps in CORNERS_OVER_EPS_WITHOUT_MARGIN.get(dim, []) + rng.uniform(0.05, 20, 30).tolist():
+        low = np.zeros(dim)
+        side = 2 * clustering._cells(np.array([low]), eps)[2][0, 0]
+        far = low + side
+        while clustering._cells(np.stack([low, far]), eps)[0][1] != 0:
+            far = np.nextafter(far, -np.inf)
+        ds = Dataset([4, 9], [low, far])
+        gap = BallIndex(ds.coords).distances(np.array([1]), low)[0]
+        assert abs(gap - side * np.sqrt(dim)) <= 4 * dim * np.spacing(eps)
+        assert assert_reference_is_literal(ds, eps, 2) == {4: 1, 9: 1}
+
+
+def listed_rows(monkeypatch):
+    """Every row position `BallIndex.pair_blocks` is asked to enumerate, call after call."""
+    listed, original = [], BallIndex.pair_blocks
+
+    def spy(self, radius, rows=None, counts=None):
+        listed.extend(range(len(self.keys)) if rows is None else np.asarray(rows).tolist())
+        return original(self, radius, rows, counts)
+
+    monkeypatch.setattr(BallIndex, "pair_blocks", spy)
+    return listed
+
+
+def test_reference_too_wide_for_the_grid_lists_every_row(monkeypatch):
+    # An axis spanning over 2**40 cells (the grid stops at 2**24): no cell is dense, and
+    # every row lists its pairs.
+    coords = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.1], [0.1, 0.2], [2e12, 0.0], [2e12 + 0.5, 0.0]])
+    ds = make_dataset([tuple(row) for row in coords])
+    assert not clustering._cells(ds.coords, 1.0)[1].any()
+    listed = listed_rows(monkeypatch)
+    assert assert_reference_is_literal(ds, 1.0, 2) == {0: 1, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
+    assert listed == list(range(6))
+
+
+def test_reference_lists_only_witnesses_when_every_cell_is_dense(rng, monkeypatch):
+    # Four rows in each cell of a 12 x 12 patch, plus one row at the lowest corner that sets
+    # the grid's origin, so no row sits on a cell boundary: with min_pts 4 every cell is
+    # dense, and only the witnesses (each cell's lowest row) may list pairs, not all 577 rows.
+    side = 1.0 / np.sqrt(2) * (1 - 1e-6)
+    lattice = np.stack(np.meshgrid(range(12), range(12)), axis=-1).reshape(-1, 2)
+    offsets = [(0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8)]
+    coords = np.vstack([(lattice + off) * side for off in offsets] + [[[0.1 * side] * 2]])
+    ds = shuffled_dataset(rng, coords)
+    name, size, _ = clustering._cells(ds.coords, 1.0)
+    assert (size >= 4).all() and len(np.unique(name)) == 144
+    listed = listed_rows(monkeypatch)
+    assert set(assert_reference_is_literal(ds, 1.0, 4).values()) == {1}
+    assert sorted(listed) == np.unique(name).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 3), eps=st.floats(0.5, 2.0), min_pts=st.integers(1, 4), data=st.data())
+def test_reference_matches_brute_force_on_tight_blobs(dim, eps, min_pts, data):
+    # Blobs a few cells wide, close enough to touch, so most cells are dense and
+    # neighbouring dense cells are joined by witnesses, by members or not at all.
+    point = st.tuples(*[st.floats(-0.4, 0.4)] * dim)
+    centres = data.draw(st.lists(st.tuples(*[st.floats(0, 3)] * dim), min_size=1, max_size=4))
+    blob = st.integers(0, len(centres) - 1)
+    members = data.draw(st.lists(st.tuples(blob, point), min_size=1, max_size=60))
+    coords = np.array([np.add(centres[k], np.multiply(off, eps)) for k, off in members])
+    assert_reference_is_literal(Dataset(np.arange(len(coords)), coords), eps, min_pts)
 
 
 # ------------------------------------------------------------------ file io

@@ -219,7 +219,7 @@ def test_closed_ball_boundary_every_pair(rng, dim):
 def test_graph_rows_equal_queries(rng, monkeypatch, dim):
     # Small blocks, so rows straddle block boundaries; shuffled keys, so
     # stored order differs from input order.
-    monkeypatch.setattr(geometry, "GRAPH_BLOCK_ROWS", 7)
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 7)
     ds = random_dataset(rng, 60, dim=dim)
     keys = rng.permutation(3 * len(ds))[:len(ds)]
     idx = BallIndex(ds.coords, keys)
@@ -235,6 +235,26 @@ def test_graph_rows_equal_queries(rng, monkeypatch, dim):
             assert idx.keys[i] in row
     for i in range(0, len(ds), 2):
         assert idx.keys[targets[i]] in graph_rows(idx, per_row)[i]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypatch, dim):
+    # Small blocks, so a block holds a few scattered rows of the subset.
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 7)
+    idx = BallIndex(random_dataset(rng, 80, dim=dim).coords)
+    for radius in (0.0, 1.5, rng.uniform(0, 3, 80)):
+        full = [(r, c) for _, _, rows, cols in idx.pair_blocks(radius) for r, c in zip(rows, cols)]
+        for subset in (np.flatnonzero(rng.random(80) < 0.3), np.array([79]), np.arange(80)):
+            got, last = [], 0
+            for start, stop, rows, cols in idx.pair_blocks(radius, subset):
+                assert last <= start <= rows.min() and rows.max() < stop
+                assert set(subset[(start <= subset) & (subset < stop)]) == set(rows.tolist())
+                got += zip(rows, cols)
+                last = stop
+            assert sorted(got) == sorted((r, c) for r, c in full if r in subset)
+    # Every row finds itself, so a budget of one candidate pair puts each row in a block of its own.
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 1)
+    assert [start for start, _, _, _ in idx.pair_blocks(1.5)] == list(range(80))
 
 
 def test_graph_of_empty_and_single_point_sets():
