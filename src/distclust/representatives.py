@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InputError
 from .geometry import BallIndex, Dataset, Point, check_epsilon
 
+RESCORE_BATCH = 64  # most dirty heap entries re-scored in one pass of `SelectionState.run`
+
 
 @dataclass(frozen=True)
 class RepresentativeRecord:
@@ -112,12 +114,18 @@ class SelectionState:
 
     The heap holds one entry (-key, position) per candidate, positions in id
     order; key bounds the candidate's dynamic quality from above (it starts as
-    the static quality). The top entry is re-scored from the definition. If the
-    score equals its key, no candidate beats it and a tie with a lower id would
-    sit above it, so it is chosen; otherwise its key drops to the score.
-    Covering objects only removes non-negative terms from a left-to-right float
-    sum, which never raises it, so the keys stay bounds as objects get covered.
-    Already-covered objects stay candidates; ties break toward the lower id.
+    the static quality, which is exact). Covering objects only removes
+    non-negative terms from a left-to-right float sum, which never raises it,
+    so the keys stay bounds as objects get covered. Each commit marks `dirty`
+    the rows whose ball holds a newly covered object: the graph is symmetric,
+    so these are the newly covered objects' own rows. A clean key is exact, so
+    a clean top is the best candidate (a tie with a lower id would sit above
+    it) and is chosen with no re-score. A dirty top is popped together with the
+    dirty entries right below it (at most `RESCORE_BATCH`): their keys lie above
+    every clean key, so almost all of them need a re-score before the next pick
+    anyway. They are re-scored in one pass and pushed back clean, keyed by
+    their exact scores. Already-covered objects stay candidates; ties break
+    toward the lower id. `rows_rescored` and `rescore_passes` count that work.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
@@ -126,15 +134,17 @@ class SelectionState:
         self.index = BallIndex(dataset.coords, dataset.ids)
         self._indptr, self._cols = self.index.graph(self.epsilon)
         self._covered = np.zeros(len(dataset), dtype=bool)
+        self._dirty = np.zeros(len(dataset), dtype=bool)  # the heap key may exceed the score
+        self.rows_rescored = self.rescore_passes = 0
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
         self.next_seq = 0  # advanced by `_commit`, once per representative
         # Static keys, adding column c of every row at once: left to right, as `stat_rep_q` sums.
-        rows, sizes = np.arange(len(dataset)), np.diff(self._indptr)
+        rows, self._sizes = np.arange(len(dataset)), np.diff(self._indptr)
         keys = np.zeros(len(rows))
-        for c in range(sizes.max(initial=0)):
-            live = rows[sizes > c]
+        for c in range(self._sizes.max(initial=0)):
+            live = rows[self._sizes > c]
             cols = self._cols[self._indptr[live] + c]
             keys[live] += self.epsilon - self.index.distances(cols, self.index.coords[live])
         self._heap = [(-key, pos) for pos, key in enumerate(keys.tolist())]
@@ -156,11 +166,30 @@ class SelectionState:
     def _score(self, pos: int) -> float:
         return _margin_sum(self.epsilon, self._uncovered(pos)[1])
 
+    def _scores(self, positions: np.ndarray) -> list[float]:
+        # `_score` of each row at `positions`, in one pass. A row's uncovered terms fill one
+        # grid row from the left, so cumsum along it adds them in `_margin_sum`'s order; the
+        # +0.0 padding after them changes no bit of a non-negative sum.
+        starts, sizes = self._indptr[positions], self._sizes[positions]
+        row = np.repeat(np.arange(len(positions)), sizes)  # each entry's index into `positions`
+        shift = starts - (sizes.cumsum() - sizes)  # a row's start in `_cols` minus its start here
+        cols = self._cols[np.arange(len(row)) + shift[row]]
+        keep = ~self._covered[cols]
+        row, cols = row[keep], cols[keep]
+        terms = self.epsilon - self.index.distances(cols, self.index.coords[positions[row]])
+        rank = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
+        grid = np.zeros((len(positions), rank.max(initial=0) + 1))
+        grid[row, rank] = terms
+        return grid.cumsum(axis=1)[:, -1].tolist()
+
     def _commit(self, cols: np.ndarray, dists: np.ndarray) -> tuple[float, int, list[int]]:
-        # Covers the uncovered positions `cols` at distances `dists` from the next representative.
+        # Covers the uncovered positions `cols` at distances `dists` from the next representative,
+        # and marks dirty the rows holding them: by symmetry, their own rows.
         newly = self.index.keys[cols].tolist()
         cov_rad = float(dists.max()) if newly else 0.0
         self._covered[cols] = True
+        for start, stop in zip(self._indptr[cols].tolist(), self._indptr[cols + 1].tolist()):
+            self._dirty[self._cols[start:stop]] = True
         self.coverage_owner.update(zip(newly, repeat(self.next_seq)))
         self.next_seq += 1
         return cov_rad, len(newly), newly
@@ -179,17 +208,22 @@ class SelectionState:
         limit = stop.resolve_count(len(self._covered))
         while self._heap and (limit is None or len(self.chosen) < limit):
             neg, pos = self._heap[0]
-            cols, dists = self._uncovered(pos)
-            score = _margin_sum(self.epsilon, dists)
-            if score != -neg:
-                heapq.heapreplace(self._heap, (-score, pos))
-            elif stop.theta is not None and score <= stop.theta:
+            if self._dirty[pos]:
+                popped = [heapq.heappop(self._heap)[1]]
+                while len(popped) < RESCORE_BATCH and self._heap and self._dirty[self._heap[0][1]]:
+                    popped.append(heapq.heappop(self._heap)[1])
+                for score, row in zip(self._scores(np.array(popped)), popped):
+                    heapq.heappush(self._heap, (-score, row))
+                self._dirty[popped] = False
+                self.rows_rescored += len(popped)
+                self.rescore_passes += 1
+            elif stop.theta is not None and -neg <= stop.theta:
                 return  # not emitted; it stays a candidate, keyed by its exact score
             else:
                 heapq.heappop(self._heap)
                 rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
                 seq = self.next_seq
-                cov_rad, cov_cnt, _ = self._commit(cols, dists)
+                cov_rad, cov_cnt, _ = self._commit(*self._uncovered(pos))
                 record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
                 self.chosen.append(record)
                 yield record
@@ -203,7 +237,8 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     farthest newly covered object (0 when nothing new is covered), the count
     of newly covered objects and their ids, ascending. Records `rep`'s seq as
     the owner of each newly covered object. Candidate heap keys are left as
-    they are: they stay upper bounds, re-scored when they reach the top.
+    they are: they stay upper bounds, and the rows they may overstate are
+    marked dirty, to be re-scored when they reach the top.
     """
     return state._commit(*state._uncovered(state._position(rep)))
 

@@ -117,6 +117,46 @@ def naive_select(points, eps, size_bound=None, theta=None):
     return records, owner
 
 
+class NaiveGreedy:
+    """`naive_select` one pick at a time over a covered set that outside
+    commits (the package's `covering_stats`) also grow. A commit takes the next
+    seq and leaves the committed object a candidate; only picks count toward a
+    size bound."""
+
+    def __init__(self, points, eps):
+        self.eps = eps
+        self.nbrs = neighbor_table(points, eps)
+        self.candidates = {pid for pid, _ in points}
+        self.covered: set[int] = set()
+        self.owner: dict[int, int] = {}
+        self.picks = 0
+        self.seq = 0
+
+    def commit(self, oid):
+        """Covers oid's uncovered neighbours; returns (cov_rad, cov_cnt)."""
+        newly = [(q, d) for q, d in self.nbrs[oid] if q not in self.covered]
+        for q, _ in newly:
+            self.covered.add(q)
+            self.owner[q] = self.seq
+        self.seq += 1
+        return max((d for _, d in newly), default=0.0), len(newly)
+
+    def select(self, size_bound=None, theta=None):
+        """Picks until `size_bound` picks exist in all, no candidate is left or
+        the best score is <= theta; returns (id, cov_rad, cov_cnt, seq) per pick."""
+        records = []
+        while self.candidates and (size_bound is None or self.picks < size_bound):
+            scores = def3_scores_fast(self.nbrs, self.eps, self.covered, self.candidates)
+            best = min(self.candidates, key=lambda o: (-scores[o], o))
+            if theta is not None and scores[best] <= theta:
+                break
+            seq = self.seq
+            records.append((best, *self.commit(best), seq))
+            self.candidates.discard(best)
+            self.picks += 1
+        return records
+
+
 def def3_scores_fast(nbrs, eps, covered, candidates):
     """From-definition scores over a precomputed neighbor table."""
     scores = {}

@@ -16,6 +16,8 @@ from distclust import (
     dyn_rep_q,
     stat_rep_q,
 )
+from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
+from distclust.pipeline import partition
 from distclust.representatives import read_records_jsonl, write_records_jsonl
 
 
@@ -136,6 +138,37 @@ def test_initial_heap_keys_equal_stat_rep_q_bit_for_bit(rng, dim):
         state = SelectionState(ds, eps)
         keys = {int(state.index.keys[pos]): -neg for neg, pos in state._heap}
         assert keys == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_selection_graph_is_symmetric(rng, dim):
+    # A commit marks dirty only the newly covered objects' own rows, which is
+    # right only if b's row lists a whenever a's row lists b. Lattice points put
+    # many pairs at exactly eps; shuffled ids keep rows unrelated to the lattice.
+    side = max(2, round(120 ** (1 / dim)))
+    lattice = np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
+    coords = np.vstack([lattice, 0.1 * lattice, rng.uniform(0, side, size=(40, dim))])
+    ds = Dataset(rng.permutation(len(coords)), coords)
+    for eps in (1.0, 0.1, float(np.sqrt(2.0)), 1.7):
+        state = SelectionState(ds, eps)
+        rows = np.repeat(np.arange(len(ds)), np.diff(state._indptr))
+        edges = set(zip(rows.tolist(), state._cols.tolist()))
+        assert edges == {(b, a) for a, b in edges}
+        if eps == 1.0:
+            assert (state.index.distances(state._cols, state.index.coords[rows]) == eps).any()
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_batched_scores_equal_row_scores_bit_for_bit(rng, dim):
+    # One pass over many rows must give the very floats of the row-at-a-time sum,
+    # before and after objects get covered.
+    ds = random_dataset(rng, 120, dim=dim, spread=4.0)
+    state = SelectionState(ds, 1.5)
+    everything = np.arange(len(ds))
+    for _ in range(3):
+        assert state._scores(everything) == [state._score(pos) for pos in everything.tolist()]
+        assert state._scores(everything[::7]) == [state._score(pos) for pos in everything[::7].tolist()]
+        list(state.run(StopCriterion.size(len(state.chosen) + 4)))
 
 
 # ------------------------------------------------------------------- selection
@@ -328,6 +361,63 @@ def test_generator_cancellation_stops_work(rng):
     gen.close()
     assert len(state.chosen) == 2
     assert state.chosen == consumed
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_resumed_and_interleaved_runs_match_naive_greedy(rng, dim):
+    # One state driven every way a caller may drive it: a run closed early, outside
+    # commits between runs and inside a paused run, a resumed size bound, a theta
+    # stop, then a size bound past the site. The dirty flags must outlive each run
+    # and see every commit, or a stale key is taken for an exact one.
+    ds = random_dataset(rng, 90, dim=dim, spread=4.0 + dim)
+    eps = 1.3
+    state, naive = SelectionState(ds, eps), oracles.NaiveGreedy(as_pairs(ds), eps)
+
+    def picks(records):
+        return [(r.point.id, r.cov_rad, r.cov_cnt, r.seq) for r in records]
+
+    def outside_commit():
+        oid = min(set(ds.ids.tolist()) - state.covered, default=int(ds.ids.max()))
+        assert covering_stats(ds.point(oid), state)[:2] == naive.commit(oid)
+
+    gen = state.run(StopCriterion.error_bound(0.0))
+    first = [next(gen) for _ in range(3)]
+    gen.close()
+    assert picks(first) == naive.select(size_bound=3)
+    outside_commit()
+    gen = state.run(StopCriterion.size(9))
+    assert picks([next(gen), next(gen)]) == naive.select(size_bound=5)
+    outside_commit()
+    assert picks(gen) == naive.select(size_bound=9)
+    assert picks(state.run(StopCriterion.error_bound(2.0))) == naive.select(theta=2.0)
+    outside_commit()
+    assert picks(state.run(StopCriterion.size(len(ds) + 5))) == naive.select(size_bound=len(ds) + 5)
+    assert state.coverage_owner == naive.owner
+    assert len(state.chosen) == len(ds)
+
+
+def test_no_row_is_rescored_after_the_first_zero_count_record():
+    # Once the best exact key is 0 every key is 0, and a commit that covers nothing
+    # marks nothing dirty: a size bound's inert tail costs no re-score.
+    ds = generate(dataset_spec("C", 1))
+    state = SelectionState(ds, CLUSTER_PARAMS["C"].epsilon)
+    at_first_zero = None
+    for record in state.run(StopCriterion.size(len(ds) + 1)):
+        if at_first_zero is None and record.cov_cnt == 0:
+            at_first_zero = (state.rows_rescored, state.rescore_passes)
+    assert len(state.chosen) == len(ds)
+    assert at_first_zero is not None and at_first_zero[0] > 0
+    assert (state.rows_rescored, state.rescore_passes) == at_first_zero
+
+
+def test_kind_a_site_rescores_in_fewer_passes_than_picks():
+    # Row-at-a-time lazy greedy makes one pass per re-scored row, about 11 per pick
+    # on this site; batching the dirty top entries makes fewer passes than picks.
+    seed = 20260809
+    site = partition(generate(dataset_spec("A", seed)), 4, seed)[0]
+    state = SelectionState(site, CLUSTER_PARAMS["A"].epsilon)
+    records = list(state.run(StopCriterion.fraction(0.2)))
+    assert state.rescore_passes < len(records) < state.rows_rescored
 
 
 # -------------------------------------------------------------- covering_stats
