@@ -42,6 +42,8 @@ class DatasetSpec:
             raise InputError(f"n_clusters must be >= 0, got {self.n_clusters}")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise InputError(f"noise_fraction must be in [0, 1], got {self.noise_fraction}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise InputError(f"bad bounds {self.bounds}")

@@ -116,6 +116,9 @@ class BallIndex:
         if (self.keys[1:] == self.keys[:-1]).any():
             raise InputError("index keys must be distinct")
         self.coords = coords[order]
+        with np.errstate(over="ignore"):
+            if n and not np.isfinite(np.sum(np.ptp(coords, axis=0) ** 2)):
+                raise InputError("coordinates span too far: their squared distances can overflow")
         self._tree = cKDTree(self.coords)
 
     def distances(self, positions: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -82,6 +82,8 @@ def partition(ds: Dataset, n_sites: int, seed: int) -> list[Dataset]:
     """
     if n_sites < 1:
         raise InputError(f"n_sites must be >= 1, got {n_sites}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     order = np.random.default_rng(seed).permutation(len(ds))
     parts = [order[k::n_sites] for k in range(n_sites)]
     return [Dataset(ds.ids[part], ds.coords[part]) for part in parts]
@@ -150,11 +152,8 @@ def _select_site(site_ds: Dataset, epsilon: float, limit: int, site: int):
     # Records, owners, and the seconds (init included) at each emission and in total.
     t0 = time.perf_counter()
     state = SelectionState(site_ds, epsilon, site=site)
-    records, stamps = [], []
-    for record in state.run(StopCriterion.size(limit)):
-        records.append(record)
-        stamps.append(time.perf_counter() - t0)
-    return records, state.coverage_owner, stamps, time.perf_counter() - t0
+    stamps = [time.perf_counter() - t0 for _ in state.run(StopCriterion.size(limit))]
+    return state.chosen, state.coverage_owner, stamps, time.perf_counter() - t0
 
 
 def _worker_context():

@@ -165,8 +165,10 @@ def test_global_rejects_the_same_stream_twice(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", [f"{2**70},3.0,1.0", "-4,3.0,1.0", "0,3.0,1.0", "3,3.0,nan"],
-                         ids=["id-2**70", "negative-id", "repeated-id", "nan-coord"])
+@pytest.mark.parametrize("row", [f"{2**70},3.0,1.0", "-4,3.0,1.0", "0,3.0,1.0", "3,3.0,nan",
+                                 "3,-1e308,2.0"],
+                         ids=["id-2**70", "negative-id", "repeated-id", "nan-coord",
+                              "overflowing-span"])
 def test_local_rejects_a_bad_dataset_row(tmp_path, capsys, row):
     data = tmp_path / "d.csv"
     data.write_text("id,c0,c1\n0,1.0,2.0\n1,2.0,2.0\n2,1.5,2.5\n" + row + "\n")
@@ -174,6 +176,24 @@ def test_local_rejects_a_bad_dataset_row(tmp_path, capsys, row):
     assert run(["local", "--in", data, "--eps", "2.0", "--budget", "2", "--out", reps]) == 1
     assert "error:" in capsys.readouterr().err
     assert not reps.exists()
+
+
+def test_global_rejects_coordinates_whose_squared_distances_overflow(tmp_path, capsys):
+    reps = tmp_path / "r.jsonl"
+    reps.write_text("".join(json.dumps({"site": 0, "seq": k, "coords": [x, 0.0],
+                                        "cov_rad": 0.0, "cov_cnt": 1}) + "\n"
+                            for k, x in enumerate([1e308, -1e308])))
+    out = tmp_path / "g.csv"
+    assert run(["global", "--reps", reps, "--eps", "1.0", "--minpts", "1", "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["gen", "--out"], ["pipeline", "--budget", "0.2", "--out-dir"]],
+                         ids=["gen", "pipeline"])
+def test_negative_seed_is_diagnosed(tmp_path, capsys, args):
+    assert run([*args, tmp_path / "out", "--kind", "C", "--seed", "-1"]) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_global_rejects_a_zero_dimensional_representative(tmp_path, capsys):

@@ -63,6 +63,8 @@ def test_invalid_specs_rejected():
         dataset_spec("Z", seed=0)
     with pytest.raises(InputError):
         DatasetSpec(bounds=((1.0, 1.0),))
+    with pytest.raises(InputError, match="seed"):
+        DatasetSpec(seed=-1)
 
 
 def test_impossible_center_separation_rejected():

@@ -126,6 +126,19 @@ def test_index_rejects_bad_keys():
         BallIndex(np.zeros(3))
 
 
+@pytest.mark.parametrize("coords", [[[1e308, 0.0], [-1e308, 0.0]], [[0.0, 0.0], [1.3e154, 1.3e154]]],
+                         ids=["span-overflows", "squared-spans-overflow"])
+def test_index_rejects_coordinates_whose_squared_distances_overflow(coords):
+    with pytest.raises(InputError, match="span"):
+        BallIndex(np.array(coords))
+
+
+def test_index_takes_spans_whose_squared_distances_stay_finite():
+    idx = BallIndex(np.array([[0.0, 0.0], [9e153, 9e153]]))
+    assert idx.query((0.0, 0.0), 1.0)[0].tolist() == [0]
+    assert idx.graph(1.0)[1].tolist() == [0, 1]
+
+
 def test_query_answers_keys_ascending_with_their_distances():
     coords = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
     keys, dists = BallIndex(coords, [7, 30, 2, 5]).query((0.0, 0.0), 5.0)

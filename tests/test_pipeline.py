@@ -66,6 +66,11 @@ def test_partition_more_sites_than_points(rng):
         assert all(rows[i] == row for i, row in zip(part.ids.tolist(), part.coords.tolist()))
 
 
+def test_partition_rejects_a_negative_seed(rng):
+    with pytest.raises(InputError, match="seed"):
+        partition(random_dataset(rng, 5), 2, seed=-1)
+
+
 def test_partition_deterministic(rng):
     ds = random_dataset(rng, 30)
     a = partition(ds, 4, seed=9)

@@ -130,12 +130,15 @@ def test_dyn_rep_q_reads_only_the_states_epsilon_and_objects():
 
 @pytest.mark.parametrize("dim", [2, 5])
 def test_initial_heap_keys_equal_stat_rep_q_bit_for_bit(rng, dim):
-    # The keys are summed column by column over the graph rows; they must be
-    # the very floats the per-query definition gives, or tie-breaks could flip.
+    # Keys start as +inf bounds; the first passes re-score every row once, in
+    # batches, and must leave the very floats the per-query definition gives,
+    # or tie-breaks could flip. No key can fall to 1e300, so nothing is emitted.
     ds = random_dataset(rng, 150, dim=dim, spread=4.0)
     ds = Dataset(ds.ids[::-1], ds.coords[::-1])  # input order unrelated to ids
     for eps in (0.4, 1.5, 3.0):
         state = SelectionState(ds, eps)
+        assert list(state.run(StopCriterion.error_bound(1e300))) == []
+        assert state.rows_rescored == len(ds)
         keys = {int(state.index.keys[pos]): -neg for neg, pos in state._heap}
         assert keys == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
 
@@ -160,14 +163,15 @@ def test_selection_graph_is_symmetric(rng, dim):
 
 @pytest.mark.parametrize("dim", [2, 5])
 def test_batched_scores_equal_row_scores_bit_for_bit(rng, dim):
-    # One pass over many rows must give the very floats of the row-at-a-time sum,
+    # One pass over many rows must give the very floats of one-row passes,
     # before and after objects get covered.
     ds = random_dataset(rng, 120, dim=dim, spread=4.0)
     state = SelectionState(ds, 1.5)
     everything = np.arange(len(ds))
     for _ in range(3):
-        assert state._scores(everything) == [state._score(pos) for pos in everything.tolist()]
-        assert state._scores(everything[::7]) == [state._score(pos) for pos in everything[::7].tolist()]
+        row_scores = [state._scores(np.array([pos]))[0] for pos in everything.tolist()]
+        assert state._scores(everything) == row_scores
+        assert state._scores(everything[::7]) == row_scores[::7]
         list(state.run(StopCriterion.size(len(state.chosen) + 4)))
 
 
