@@ -269,16 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of pipeline runs, CSV output")
     _add_run_args(p)
-    p.add_argument("--fractions", type=_parse_floats, default=[0.01, 0.02, 0.05, 0.1, 0.2],
+    p.add_argument("--fractions", type=_parse_floats, default=(0.01, 0.02, 0.05, 0.1, 0.2),
                    help="comma list of per-site budgets")
-    p.add_argument("--sites", type=_parse_ints, default=[4], help="comma list of site counts")
+    p.add_argument("--sites", type=_parse_ints, default=(4,), help="comma list of site counts")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
+PARSER = build_parser()  # one per process; each call parses into a fresh namespace
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (DistClustError, OSError) as e:

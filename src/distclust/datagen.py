@@ -1,4 +1,4 @@
-"""Synthetic 2-D test datasets: Gaussian blobs plus uniform background noise.
+"""Synthetic d-dimensional test datasets (2-D by default): Gaussian blobs plus uniform noise.
 
 Three shipped kinds with different characters:
   A - several randomly placed clusters with moderate noise (8700 points),

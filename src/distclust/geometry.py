@@ -8,7 +8,6 @@ distance exactly ``radius`` from the center is included, in every dimension.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
-from .tables import write_table
+from .tables import read_table, write_table
 
 GRAPH_BLOCK_PAIRS = 2**13  # candidate pairs per block of BallIndex.pair_blocks; bounds its temporaries
 
@@ -161,7 +160,7 @@ class BallIndex:
             centers, limit = self.coords[block], radius[block]
             found = cKDTree(centers).sparse_distance_matrix(
                 self._tree, _inflate(limit.max()), output_type="ndarray")
-            keep = self.distances(found["j"], centers[found["i"]]) <= limit[found["i"]]
+            keep = self.distances(found["j"], centers.take(found["i"], axis=0)) <= limit[found["i"]]
             yield block[0], block[-1] + 1, block[found["i"][keep]], found["j"][keep]
 
     def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,27 +198,13 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty dataset file") from None
-        if len(header) < 2 or header[0] != "id" or header[1:] != [f"c{k}" for k in range(len(header) - 1)]:
-            raise InputError(f"{path}: bad header {header!r}, expected id,c0,...")
-        dim = len(header) - 1
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise InputError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                ids.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as e:
-                raise InputError(f"{path}:{lineno}: {e}") from None
+    rows = read_table(path, _dataset_schema)
     try:
-        return Dataset(ids, np.reshape(rows, (len(ids), dim)))
+        return Dataset(rows["id"].copy(), np.ascontiguousarray(rows["c"]))
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
+
+
+def _dataset_schema(width: int) -> tuple[list[str], np.dtype]:
+    dim = max(width - 1, 1)
+    return ["id", *(f"c{k}" for k in range(dim))], np.dtype([("id", np.int64), ("c", np.float64, (dim,))])

@@ -157,14 +157,18 @@ class SelectionState:
         cols = cols[~self._covered[cols]]
         return cols, self.index.distances(cols, self.index.coords[pos]) if len(cols) else np.empty(0)
 
+    def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
+        starts, sizes = self._indptr[positions], self._sizes[positions]
+        row = np.repeat(np.arange(len(positions)), sizes)
+        shift = starts - (sizes.cumsum() - sizes)  # a row's start in `_cols` minus its start here
+        return row, self._cols[np.arange(len(row)) + shift[row]]
+
     def _scores(self, positions: np.ndarray) -> list[float]:
         # The dynamic quality of each row at `positions`, in one pass. A row's uncovered terms
         # fill one grid row from the left, so cumsum along it adds them in `_margin_sum`'s
         # order; the +0.0 padding after them changes no bit of a non-negative sum.
-        starts, sizes = self._indptr[positions], self._sizes[positions]
-        row = np.repeat(np.arange(len(positions)), sizes)  # each entry's index into `positions`
-        shift = starts - (sizes.cumsum() - sizes)  # a row's start in `_cols` minus its start here
-        cols = self._cols[np.arange(len(row)) + shift[row]]
+        row, cols = self._entries(positions)
         keep = ~self._covered[cols]
         row, cols = row[keep], cols[keep]
         centers = self.index.coords.take(positions[row], axis=0)  # ~10x faster than coords[...]
@@ -181,8 +185,7 @@ class SelectionState:
         newly = self.index.keys[cols].tolist()
         cov_rad = float(dists.max()) if newly else 0.0
         self._covered[cols] = True
-        for start, stop in zip(self._indptr[cols].tolist(), self._indptr[cols + 1].tolist()):
-            self._dirty[self._cols[start:stop]] = True
+        self._dirty[self._entries(cols)[1]] = True
         self.coverage_owner.update(zip(newly, repeat(self.next_seq)))
         self.next_seq += 1
         return cov_rad, len(newly), newly

@@ -1,11 +1,15 @@
-"""Header-checked CSV tables: one writer for every CSV the package writes, and the
-integer reader behind the label and ownership files."""
+"""Header-checked CSV tables: one writer for every CSV the package writes, and one
+numpy reader behind every CSV it reads."""
 
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -17,30 +21,35 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(rows)
 
 
-def read_int_table(path: str | Path, header: Sequence[str], n_key: int = 1) -> dict:
-    """Map each row's key (its first `n_key` fields; a tuple when more than
-    one) to the integer in the field right after it.
+def read_table(path: str | Path, schema: Callable[[int], tuple[Sequence[str], np.dtype]]) -> np.ndarray:
+    """The rows of the CSV at `path` as one array of a structured dtype, where `schema(width)`
+    gives the header and dtype expected of a file whose first line has `width` fields. Blank
+    lines are skipped; any other line that is not one decimal number per field (quoted or not)
+    that the field's type holds raises InputError naming the file."""
+    first, _, body = Path(path).read_text().partition("\n")
+    found = next(csv.reader([first]))
+    header, dtype = schema(len(found))
+    if found != list(header):
+        raise InputError(f"{path}: bad header {found!r}, expected {','.join(header)}")
+    if not body.strip("\n"):
+        return np.empty(0, dtype)
+    try:
+        with warnings.catch_warnings():
+            # Older numpy (the 1.24 floor too) reads a bad integer field as a truncated float, and only warns.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except (ValueError, DeprecationWarning) as e:
+        # numpy counts rows without the header and blank lines, so its row is no line of the file.
+        raise InputError(f"{path}: {str(e).split(' at row ')[0]}") from None
 
-    The header must match exactly, every row must have one integer per
-    header field, and no key may repeat.
-    """
-    table: dict = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        found = next(reader, None)
-        if found != list(header):
-            raise InputError(f"{path}: bad header {found!r}, expected {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                fields = [int(v) for v in row]
-            except ValueError as e:
-                raise InputError(f"{path}:{lineno}: {e}") from None
-            key = fields[0] if n_key == 1 else tuple(fields[:n_key])
-            if key in table:
-                raise InputError(f"{path}:{lineno}: repeated key {key}")
-            table[key] = fields[n_key]
-    return table
+
+def read_int_table(path: str | Path, header: Sequence[str], n_key: int = 1) -> dict:
+    """Map each row's key (its first `n_key` fields; a tuple when more than one) to the
+    integer in the field right after it. Every field is an int64; no key may repeat."""
+    rows = read_table(path, lambda width: (header, np.dtype([("v", np.int64, (len(header),))])))["v"]
+    keys = rows[:, 0].tolist() if n_key == 1 else list(zip(*rows[:, :n_key].T.tolist()))
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[np.unique(rows[:, :n_key], axis=0, return_index=True)[1]] = False
+    if repeated.any():
+        raise InputError(f"{path}: repeated key {keys[repeated.argmax()]}")
+    return dict(zip(keys, rows[:, n_key].tolist()))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distclust import dataset_spec, generate, partition, save_dataset_csv
+from distclust import cli
 from distclust.cli import main
 
 
@@ -270,3 +271,24 @@ def test_global_rejects_radii_that_span_the_data(tmp_path, capsys):
     assert run(["global", "--reps", reps, "--eps", "2", "--minpts", "4", "--out", out]) == 1
     assert "(site, seq) = (0, 1) has cov_rad 1000.0 > --eps 2.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calls_in_one_process_share_a_parser_but_no_option_values(tmp_path):
+    data = tmp_path / "d.csv"
+    assert run(["gen", "--kind", "C", "--seed", "1", "--out", data]) == 0
+    owners, r1, r2 = tmp_path / "o.csv", tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
+    calls = [
+        ["local", "--in", data, "--eps", "2.0", "--theta", "0.5", "--site", "3", "--out", r1,
+         "--owners", owners],
+        ["local", "--in", data, "--eps", "2.0", "--budget", "0.2", "--out", r2],
+        ["global", "--reps", r1, r2, "--eps", "2.0", "--minpts", "8", "--merge-order", "concat",
+         "--out", tmp_path / "g1.csv"],
+        ["global", "--reps", r2, "--eps", "2.0", "--minpts", "8", "--out", tmp_path / "g2.csv"],
+    ]
+    for k, argv in enumerate(calls):
+        assert run(argv) == 0
+        assert owners.exists() == (k == 0)  # only the first call asks for it
+        owners.unlink(missing_ok=True)
+        argv = [str(a) for a in argv]
+        assert vars(cli.PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert json.loads(r2.read_text().splitlines()[0])["site"] == 0
