@@ -16,7 +16,6 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import BallIndex, Dataset, Point, check_epsilon
+from .tables import read_text
 
 RESCORE_BATCH = 64  # most dirty heap entries re-scored in one pass of `SelectionState.run`
 
@@ -150,13 +150,6 @@ class SelectionState:
             raise InputError(f"object {o.id} is not in site {self.site}")
         return pos
 
-    def _uncovered(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        # The row's objects not yet covered, as positions, ascending, and their distances
-        # (none computed for an empty row).
-        cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
-        cols = cols[~self._covered[cols]]
-        return cols, self.index.distances(cols, self.index.coords[pos]) if len(cols) else np.empty(0)
-
     def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
         starts, sizes = self._indptr[positions], self._sizes[positions]
@@ -179,16 +172,19 @@ class SelectionState:
         grid[row, rank] = terms
         return grid.cumsum(axis=1)[:, -1].tolist()
 
-    def _commit(self, cols: np.ndarray, dists: np.ndarray) -> tuple[float, int, list[int]]:
-        # Covers the uncovered positions `cols` at distances `dists` from the next representative,
-        # and marks dirty the rows holding them: by symmetry, their own rows.
+    def _commit(self, pos: int) -> tuple[float, int, list[int]]:
+        # Gives the object at `pos` the next seq and covers its row's uncovered objects, marking
+        # dirty the rows holding them (by symmetry, their own rows). Covering nothing writes nothing.
+        self.next_seq += 1
+        cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
+        cols = cols[~self._covered[cols]]
+        if not len(cols):
+            return 0.0, 0, []
         newly = self.index.keys[cols].tolist()
-        cov_rad = float(dists.max()) if newly else 0.0
         self._covered[cols] = True
         self._dirty[self._entries(cols)[1]] = True
-        self.coverage_owner.update(zip(newly, repeat(self.next_seq)))
-        self.next_seq += 1
-        return cov_rad, len(newly), newly
+        self.coverage_owner.update(dict.fromkeys(newly, self.next_seq - 1))
+        return float(self.index.distances(cols, self.index.coords[pos]).max()), len(newly), newly
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
@@ -219,10 +215,9 @@ class SelectionState:
                 heapq.heappop(self._heap)
                 rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
                 seq = self.next_seq
-                cov_rad, cov_cnt, _ = self._commit(*self._uncovered(pos))
-                record = RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq)
-                self.chosen.append(record)
-                yield record
+                cov_rad, cov_cnt, _ = self._commit(pos)
+                self.chosen.append(RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq))
+                yield self.chosen[-1]
 
 
 def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[int]]:
@@ -236,7 +231,7 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     they are: they stay upper bounds, and the rows they may overstate are
     marked dirty, to be re-scored when they reach the top.
     """
-    return state._commit(*state._uncovered(state._position(rep)))
+    return state._commit(state._position(rep))
 
 
 def record_to_json(rec: RepresentativeRecord) -> str:
@@ -263,27 +258,26 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
     """Parse a representative stream file; the wire format carries no object
     ids, so each point gets its seq as a synthetic id."""
     records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                seq = _json_int(obj, "seq")
-                rec = RepresentativeRecord(
-                    point=Point(seq, tuple(_json_number(c, "coords") for c in obj["coords"])),
-                    cov_rad=_json_number(obj["cov_rad"], "cov_rad"),
-                    cov_cnt=_json_int(obj, "cov_cnt"),
-                    site=_json_int(obj, "site"),
-                    seq=seq,
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
-            if not math.isfinite(rec.cov_rad) or rec.cov_rad < 0 or rec.cov_cnt < 0:
-                raise InputError(f"{path}:{lineno}: coverage aggregates must be non-negative "
-                                 f"and finite, got cov_rad {rec.cov_rad}, cov_cnt {rec.cov_cnt}")
-            records.append(rec)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):  # as iterating `open(path)` splits
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            seq = _json_int(obj, "seq")
+            rec = RepresentativeRecord(
+                point=Point(seq, tuple(_json_number(c, "coords") for c in obj["coords"])),
+                cov_rad=_json_number(obj["cov_rad"], "cov_rad"),
+                cov_cnt=_json_int(obj, "cov_cnt"),
+                site=_json_int(obj, "site"),
+                seq=seq,
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
+        if not math.isfinite(rec.cov_rad) or rec.cov_rad < 0 or rec.cov_cnt < 0:
+            raise InputError(f"{path}:{lineno}: coverage aggregates must be non-negative "
+                             f"and finite, got cov_rad {rec.cov_rad}, cov_cnt {rec.cov_cnt}")
+        records.append(rec)
     return records
 
 

@@ -1,5 +1,5 @@
-"""Header-checked CSV tables: one writer for every CSV the package writes, and one
-numpy reader behind every CSV it reads."""
+"""Header-checked CSV tables: one writer for every CSV the package writes, one numpy reader
+behind every CSV it reads, and the text decoding behind every file it reads, JSONL too."""
 
 from __future__ import annotations
 
@@ -21,12 +21,19 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(rows)
 
 
+def read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a text file: {e}") from None
+
+
 def read_table(path: str | Path, schema: Callable[[int], tuple[Sequence[str], np.dtype]]) -> np.ndarray:
     """The rows of the CSV at `path` as one array of a structured dtype, where `schema(width)`
     gives the header and dtype expected of a file whose first line has `width` fields. Blank
     lines are skipped; any other line that is not one decimal number per field (quoted or not)
     that the field's type holds raises InputError naming the file."""
-    first, _, body = Path(path).read_text().partition("\n")
+    first, _, body = read_text(path).partition("\n")
     found = next(csv.reader([first]))
     header, dtype = schema(len(found))
     if found != list(header):

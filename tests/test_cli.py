@@ -292,3 +292,29 @@ def test_calls_in_one_process_share_a_parser_but_no_option_values(tmp_path):
         argv = [str(a) for a in argv]
         assert vars(cli.PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
     assert json.loads(r2.read_text().splitlines()[0])["site"] == 0
+
+
+@pytest.mark.parametrize("command", ["local", "global", "relabel", "eval"])
+def test_undecodable_input_is_diagnosed(tmp_path, capsys, command):
+    data, reps, owners = tmp_path / "d.csv", tmp_path / "r.jsonl", tmp_path / "o.csv"
+    glabels, ref = tmp_path / "g.csv", tmp_path / "ref.csv"
+    assert run(["gen", "--kind", "C", "--seed", "1", "--n-points", "40", "--out", data]) == 0
+    assert run(["local", "--in", data, "--eps", "2.0", "--budget", "0.2", "--out", reps,
+                "--owners", owners]) == 0
+    assert run(["global", "--reps", reps, "--eps", "2.0", "--minpts", "8", "--out", glabels]) == 0
+    ref.write_text("id,cluster_id\n0,1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"id,cluster_id,owner_seq\n0,1,\xe9\n")
+    out = tmp_path / "out"
+    argv = {
+        "local": ["local", "--in", bad, "--eps", "2.0", "--budget", "0.2", "--out", out],
+        "global": ["global", "--reps", reps, bad, "--eps", "2.0", "--minpts", "8", "--out", out],
+        "relabel": ["relabel", "--dataset", data, "--owners", bad, "--global-labels", glabels,
+                    "--site", "0", "--out", out],
+        "eval": ["eval", "--dist", bad, "--ref", ref, "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "0xe9" in err
+    assert not out.exists()

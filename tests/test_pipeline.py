@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_dataset, random_dataset
+import oracles
+from conftest import as_pairs, make_dataset, random_dataset
 from distclust import InputError, StopCriterion, pipeline
 from distclust.clustering import reference_dbscan
-from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
+from distclust.datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from distclust.pipeline import (
     ExperimentConfig,
     SweepRow,
@@ -194,6 +195,55 @@ def test_reference_reuse_gives_same_report():
     first = run_pipeline(cfg)
     again = run_pipeline(cfg, dataset=first.dataset, reference=first.reference)
     assert again.report == first.report
+
+
+def composed_oracles(ds, cfg, budget):
+    """The distributed side from the oracles alone: per-site naive selection, the
+    merge, literal weighted DBSCAN and relabel by owner. Returns (global labels,
+    distributed labels, merged stream of (seq, site, coords, cov_rad, cov_cnt))."""
+    stop = budget_to_stop(budget)
+    stream, owners = [], []
+    for site, part in enumerate(partition(ds, cfg.n_sites, cfg.seed)):
+        records, owner = oracles.naive_select(as_pairs(part), cfg.epsilon,
+                                              size_bound=stop.resolve_count(len(part)))
+        coords = dict(as_pairs(part))
+        stream += [(seq, site, coords[oid], rad, cnt) for seq, (oid, rad, cnt) in enumerate(records)]
+        owners.append((site, part.ids.tolist(), owner))
+    stream.sort(key=lambda r: (r[0], r[1]) if cfg.merge_order == "interleave" else (r[1], r[0]))
+    labels = oracles.literal_weighted_dbscan([r[2:] for r in stream], cfg.epsilon, cfg.min_pts)
+    global_labels = {(site, seq): label for (seq, site, *_), label in zip(stream, labels)}
+    distributed = {oid: global_labels[(site, owner[oid])] if oid in owner else 0
+                   for site, ids, owner in owners for oid in ids}
+    return global_labels, distributed, stream
+
+
+@pytest.mark.parametrize("dim,merge_order,concurrent", [
+    *((dim, order, False) for dim in range(1, 7) for order in ("interleave", "concat")),
+    (3, "interleave", True),
+])
+def test_run_pipeline_equals_composed_oracles(dim, merge_order, concurrent):
+    spec = DatasetSpec(n_points=300, n_clusters=3, noise_fraction=0.1, seed=dim,
+                       bounds=((0.0, 40.0),) * dim, sigma_range=(1.0, 1.5), min_center_separation=12.0)
+    cfg = ExperimentConfig(dataset=spec, n_sites=3, epsilon=1.2 * dim ** 0.5, min_pts=5, seed=dim,
+                           merge_order=merge_order, concurrent=concurrent)
+    ds = generate(spec)
+    ref_labels = oracles.literal_dbscan(as_pairs(ds), cfg.epsilon, cfg.min_pts)
+    reference = None
+    # Every object is picked at 1.0 and at 150 (past every 100-object site): a zero-count tail.
+    for budget, full in ((1, False), (0.05, False), (0.3, False), (1.0, True), (150, True)):
+        result = run_pipeline(cfg, budget, dataset=ds, reference=reference)
+        reference = result.reference
+        global_labels, distributed, stream = composed_oracles(ds, cfg, budget)
+        assert result.global_labeling.labels == global_labels
+        assert result.distributed == distributed
+        assert result.reference.labels == ref_labels
+        assert result.report.matching_quality == pytest.approx(
+            oracles.brute_best_matching(distributed, ref_labels), abs=1e-12)
+        assert result.report.adjusted_rand == pytest.approx(
+            oracles.pair_counting_ari(distributed, ref_labels), abs=1e-9)
+        if full:
+            assert any(cnt == 0 for *_, cnt in stream)
+            assert [r.cov_cnt for r in result.merged] == [cnt for *_, cnt in stream]
 
 
 # ---------------------------------------------------------------------- sweep

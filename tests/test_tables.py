@@ -9,6 +9,7 @@ from distclust.clustering import load_global_labels_csv, load_reference_labels_c
 from distclust.errors import InputError
 from distclust.geometry import load_dataset_csv
 from distclust.relabel import load_owners_csv
+from distclust.representatives import read_records_jsonl
 
 
 def test_coordinates_are_bit_equal_to_float(tmp_path):
@@ -110,4 +111,16 @@ def test_inputs_the_reader_is_stricter_on(tmp_path, header, row):
     load = {"id,c0,c1": load_dataset_csv, "id,owner_seq": load_owners_csv,
             "id,cluster_id": load_reference_labels_csv}[header]
     with pytest.raises(InputError, match=re.escape(str(path))):
+        load(path)
+
+
+@pytest.mark.parametrize("load,text", [
+    (load_dataset_csv, b"id,c0\n0,1.0\n1,\xe9\n"),
+    (load_owners_csv, b"id,owner_seq\n0,0\n\xe9,1\n"),
+    (read_records_jsonl, b'{"site": 0, "seq": 0, "coords": [0.0], "cov_rad": 0.5, "cov_cnt": 1}\n\xe9\n'),
+], ids=["dataset", "owners", "jsonl"])
+def test_undecodable_files_raise_input_error_naming_them(tmp_path, load, text):
+    path = tmp_path / "t.bin"
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(str(path)) + ".*0xe9"):
         load(path)
