@@ -163,6 +163,8 @@ def cmd_relabel(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.cost_out and args.n_reps is None:
+        raise InputError("--cost-out needs --n-reps")
     distributed: dict[int, int] = {}
     for path in args.dist:
         part = load_local_labels_csv(path)
@@ -172,17 +174,15 @@ def cmd_eval(args) -> int:
         distributed.update(part)
     reference = load_reference_labels_csv(args.ref)
     report = evaluate(distributed, reference.labels)
+    if args.cost_out:  # priced before any output, so a bad --n-reps writes nothing
+        model = CostModel(args.bytes_per_object, args.bytes_per_aggregate)
+        n_total = report.n_objects
+        cost = transmission_cost(args.n_reps, n_total, model)
+        write_cost_csv([(args.n_reps / n_total if n_total else 0.0, cost)], args.cost_out)
     line = report.to_json()
     if args.out:
         Path(args.out).write_text(line + "\n")
     print(line)
-    if args.cost_out:
-        if args.n_reps is None:
-            raise InputError("--cost-out needs --n-reps")
-        model = CostModel(args.bytes_per_object, args.bytes_per_aggregate)
-        n_total = args.n_total if args.n_total is not None else report.n_objects
-        cost = transmission_cost(args.n_reps, n_total, model)
-        write_cost_csv([(args.n_reps / n_total if n_total else 0.0, cost)], args.cost_out)
     return 0
 
 
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report JSON here too")
     p.add_argument("--cost-out", default=None)
     p.add_argument("--n-reps", type=int, default=None)
-    p.add_argument("--n-total", type=int, default=None)
     _add_cost_args(p)
     p.set_defaults(func=cmd_eval)
 

@@ -120,12 +120,8 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
         own, degree = np.unique(rows[~dense[rows]], return_counts=True)
         core[own] = degree >= min_pts
         loose.append((rows[~core[rows]], cols[~core[rows]]))
-        # Core-core pairs are folded in from the later (or the sparse) row's block: a new sparse
-        # core row takes the lowest name next to it; pairs still between two names merge.
-        join = ((cols < stop) | dense[cols]) & core[rows] & core[cols]
-        rows, cols = rows[join], cols[join]
-        np.minimum.at(comp, rows[~dense[rows]], comp[cols[~dense[rows]]])
-        comp = _merge(comp, comp[rows], comp[cols])
+        join = ((cols < stop) | dense[cols]) & core[rows] & core[cols]  # both core flags known
+        comp = _merge(comp, comp[rows[join]], comp[cols[join]])
     comp = _join_dense_cells(index, comp, core, name, listed[dense[listed]], centre, params.epsilon)
     del index, name, size, centre  # not held while the labels and their dict are built
     labels = np.zeros(n, dtype=np.int64)
@@ -164,7 +160,8 @@ def _join_dense_cells(index: BallIndex, comp: np.ndarray, core: np.ndarray, name
 
 def _merge(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`comp` with the components that edges a[k]-b[k] join named by their lowest name."""
-    if (a == b).all():
+    a, b = a[a != b], b[a != b]  # a pair inside one component changes nothing
+    if not len(a):
         return comp
     names, ends = np.unique(np.concatenate((a, b)), return_inverse=True)
     edges = coo_matrix((np.ones(len(a)), (ends[:len(a)], ends[len(a):])), shape=(len(names),) * 2)

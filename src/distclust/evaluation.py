@@ -17,10 +17,9 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .clustering import NOISE
 from .errors import InputError
 from .tables import write_table
-
-_NOISE = 0
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def matching_quality(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
 def _matching_quality(d_ids: np.ndarray, r_ids: np.ndarray, table: np.ndarray) -> float:
     if not table.size:
         return 1.0
-    d_noise, r_noise = int(d_ids[0] == _NOISE), int(r_ids[0] == _NOISE)  # ids ascend from 0
+    d_noise, r_noise = int(d_ids[0] == NOISE), int(r_ids[0] == NOISE)  # ids ascend from 0
     overlap = table[d_noise:, r_noise:]
     matched = int(table[0, 0]) if d_noise and r_noise else 0
     if overlap.size:

@@ -14,7 +14,6 @@ import multiprocessing.forkserver
 import os
 import sys
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -100,22 +99,19 @@ def merge_streams(site_records: Sequence[Sequence[RepresentativeRecord]],
     (site, seq) key or a gap raises InputError, since either would hand one
     site's objects another representative's cluster id.
     """
-    merged = [rec for records in site_records for rec in records]
-    sizes = Counter(rec.site for rec in merged)
-    marks = {site: bytearray(k) for site, k in sizes.items()}
-    for rec in merged:
-        if not 0 <= rec.seq < sizes[rec.site]:
-            raise InputError(f"site {rec.site} has {sizes[rec.site]} representatives "
-                             f"but one with seq {rec.seq}: seqs must run 0..k-1")
-        if marks[rec.site][rec.seq]:
-            raise InputError(f"representative (site, seq) = {rec.key} appears twice")
-        marks[rec.site][rec.seq] = 1
-    if order == "interleave":
-        merged.sort(key=lambda r: (r.seq, r.site))
-    elif order == "concat":
-        merged.sort(key=lambda r: (r.site, r.seq))
-    else:
+    if order not in MERGE_ORDERS:
         raise InputError(f"unknown merge order {order!r}")
+    merged = sorted((rec for records in site_records for rec in records), key=lambda r: r.key)
+    site, seq = None, -1
+    for rec in merged:
+        if rec.key == (site, seq):
+            raise InputError(f"representative (site, seq) = {rec.key} appears twice")
+        if rec.seq != (seq + 1 if rec.site == site else 0):
+            raise InputError(f"representative (site, seq) = {rec.key} breaks its site's seqs, "
+                             f"which must run 0..k-1")
+        site, seq = rec.key
+    if order == "interleave":
+        merged.sort(key=lambda r: r.seq)
     return merged
 
 

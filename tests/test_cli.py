@@ -6,6 +6,7 @@ import pytest
 from distclust import dataset_spec, generate, partition, save_dataset_csv
 from distclust import cli
 from distclust.cli import main
+from distclust.evaluation import CostModel, transmission_cost
 
 
 def run(args):
@@ -243,6 +244,48 @@ def test_eval_rejects_a_cluster_id_past_int64(tmp_path, capsys):
     assert run(["eval", "--dist", dist, "--ref", ref, "--out", out]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _eval_inputs(tmp_path):
+    """Two site label files over ids 0..4 and a reference over the same ids."""
+    dist0, dist1, ref = tmp_path / "d0.csv", tmp_path / "d1.csv", tmp_path / "r.csv"
+    dist0.write_text("id,cluster_id,owner_seq\n0,1,0\n1,1,0\n2,0,-1\n")
+    dist1.write_text("id,cluster_id,owner_seq\n3,2,0\n4,2,1\n")
+    ref.write_text("id,cluster_id\n0,1\n1,1\n2,0\n3,2\n4,0\n")
+    return dist0, dist1, ref
+
+
+def test_eval_cost_out_prices_the_objects_evaluated(tmp_path):
+    dist0, dist1, ref = _eval_inputs(tmp_path)
+    cost_csv = tmp_path / "cost.csv"
+    assert run(["eval", "--dist", dist0, dist1, "--ref", ref, "--cost-out", cost_csv,
+                "--n-reps", 3]) == 0
+    header, row = cost_csv.read_text().splitlines()
+    assert header == "frac,bytes_distributed,bytes_full,speedup"
+    frac, bytes_distributed, bytes_full, speedup = row.split(",")
+    cost = transmission_cost(3, 5, CostModel())
+    assert float(frac) == 3 / 5
+    assert (int(bytes_distributed), int(bytes_full), float(speedup)) == (
+        cost.bytes_distributed, cost.bytes_full, cost.speedup)
+
+
+def test_eval_cost_out_rejects_a_missing_or_excess_rep_count(tmp_path, capsys):
+    dist0, dist1, ref = _eval_inputs(tmp_path)
+    cost_csv, report = tmp_path / "cost.csv", tmp_path / "report.json"
+    args = ["eval", "--dist", dist0, dist1, "--ref", ref, "--out", report, "--cost-out", cost_csv]
+    assert run(args) == 1
+    assert "--cost-out needs --n-reps" in capsys.readouterr().err
+    assert run(args + ["--n-reps", 6]) == 1  # more representatives than objects evaluated
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and not captured.out
+    assert not cost_csv.exists() and not report.exists()
+
+
+def test_eval_rejects_an_id_in_two_site_files(tmp_path, capsys):
+    dist0, dist1, ref = _eval_inputs(tmp_path)
+    dist1.write_text("id,cluster_id,owner_seq\n2,2,0\n3,2,0\n4,2,1\n")
+    assert run(["eval", "--dist", dist0, dist1, "--ref", ref]) == 1
+    assert "seen twice" in capsys.readouterr().err
 
 
 def test_global_rejects_a_stream_selected_with_a_larger_eps(tmp_path, capsys):

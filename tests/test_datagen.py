@@ -65,6 +65,8 @@ def test_invalid_specs_rejected():
         DatasetSpec(bounds=((1.0, 1.0),))
     with pytest.raises(InputError, match="seed"):
         DatasetSpec(seed=-1)
+    with pytest.raises(InputError, match="n_clusters"):
+        DatasetSpec(n_clusters=-1)
 
 
 def test_impossible_center_separation_rejected():

@@ -72,6 +72,11 @@ def test_partition_rejects_a_negative_seed(rng):
         partition(random_dataset(rng, 5), 2, seed=-1)
 
 
+def test_partition_rejects_zero_sites(rng):
+    with pytest.raises(InputError, match="n_sites"):
+        partition(random_dataset(rng, 5), 0, 1)
+
+
 def test_partition_deterministic(rng):
     ds = random_dataset(rng, 30)
     a = partition(ds, 4, seed=9)
@@ -114,6 +119,23 @@ def test_merge_rejects_seq_gaps():
         merge_streams([[_rec(3, 1)]])
 
 
+@pytest.mark.parametrize("order", ["interleave", "concat"])
+@pytest.mark.parametrize("streams,message,key", [
+    ([[_rec(0, 0), _rec(0, 1), _rec(0, 1)]], "appears twice", (0, 1)),
+    ([[replace(_rec(0, 1), seq=-1), _rec(0, 0)]], "0..k-1", (0, -1)),
+    ([[_rec(0, 0), _rec(0, 1)], [_rec(1, 0)], [_rec(2, 0), _rec(2, 2)]], "0..k-1", (2, 2)),
+], ids=["repeat-in-one-stream", "negative-seq", "gap-in-a-later-site"])
+def test_merge_names_the_first_bad_key(streams, message, key, order):
+    with pytest.raises(InputError, match=message) as info:
+        merge_streams(streams, order)
+    assert str(key) in str(info.value)
+
+
+def test_merge_rejects_an_unknown_order():
+    with pytest.raises(InputError, match="merge order"):
+        merge_streams([[_rec(0, 0)]], "bogus")
+
+
 def test_merge_accepts_empty_and_prefix_streams():
     assert merge_streams([[], [_rec(1, 0)]]) == [_rec(1, 0)]
     assert merge_streams([]) == []
@@ -126,6 +148,8 @@ def test_budget_parsing():
         budget_to_stop(True)
     with pytest.raises(InputError):
         budget_to_stop(0.0)
+    with pytest.raises(InputError, match="bad budget"):
+        budget_to_stop("0.1")
 
 
 # ------------------------------------------------------------------- pipeline
