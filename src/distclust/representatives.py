@@ -12,7 +12,6 @@ neighborhoods all come from one closed-ball neighbour graph, built once.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .errors import InputError
 from .geometry import BallIndex, Dataset, Point, check_epsilon
 from .tables import read_text
 
-RESCORE_BATCH = 64  # most dirty heap entries re-scored in one pass of `SelectionState.run`
+RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
 
 
 @dataclass(frozen=True)
@@ -107,26 +106,18 @@ def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
 
 
 class SelectionState:
-    """Mutable state of one site's greedy selection, run as lazy ("accelerated")
-    greedy: Minoux 1978; CELF, Leskovec et al. 2007. The site's closed
+    """Mutable state of one site's greedy selection. The site's closed
     epsilon-balls are built once, as `BallIndex.graph` rows of int32 positions;
     a score reads a row and its covered flags and recomputes the distances.
 
-    The heap holds one entry (-key, position) per candidate, positions in id
-    order; key bounds the candidate's dynamic quality from above. Every key
-    starts as +inf with its row dirty, so the first passes compute the static
-    qualities, exact while nothing is covered. Covering objects only removes
-    non-negative terms from a left-to-right float sum, which never raises it,
-    so the keys stay bounds as objects get covered. Each commit marks `dirty`
-    the rows whose ball holds a newly covered object: the graph is symmetric,
-    so these are the newly covered objects' own rows. A clean key is exact, so
-    a clean top is the best candidate (a tie with a lower id would sit above
-    it) and is chosen with no re-score. A dirty top is popped together with the
-    dirty entries right below it (at most `RESCORE_BATCH`): their keys lie above
-    every clean key, so almost all of them need a re-score before the next pick
-    anyway. They are re-scored in one pass and pushed back clean, keyed by
-    their exact scores. Already-covered objects stay candidates; ties break
-    toward the lower id. `rows_rescored` and `rescore_passes` count that work.
+    `_score` holds every candidate's exact dynamic quality, positions in id
+    order, and -inf for an object `run` has already picked. The constructor
+    scores every row, so the first scores are the static qualities. A pick is
+    the first maximum of `_score`, so ties break toward the lower id. Each
+    commit re-scores the rows whose ball lost an uncovered object: the graph
+    is symmetric, so these are the newly covered objects' own rows. Already
+    covered objects stay candidates. Rows are scored in passes of at most
+    `RESCORE_BATCH`; `rows_rescored` and `rescore_passes` count that work.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
@@ -136,13 +127,13 @@ class SelectionState:
         self._indptr, self._cols = self.index.graph(self.epsilon)
         self._sizes = np.diff(self._indptr)
         self._covered = np.zeros(len(dataset), dtype=bool)
-        self._dirty = np.ones(len(dataset), dtype=bool)  # the heap key may exceed the score
+        self._score = np.empty(len(dataset))
         self.rows_rescored = self.rescore_passes = 0
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
         self.next_seq = 0  # advanced by `_commit`, once per representative
-        self._heap = [(-math.inf, pos) for pos in range(len(dataset))]  # sorted, so a heap
+        self._rescore(np.arange(len(dataset)))
 
     def _position(self, o: Point) -> int:
         pos = int(np.searchsorted(self.index.keys, o.id))
@@ -172,9 +163,16 @@ class SelectionState:
         grid[row, rank] = terms
         return grid.cumsum(axis=1)[:, -1].tolist()
 
+    def _rescore(self, positions: np.ndarray) -> None:
+        for start in range(0, len(positions), RESCORE_BATCH):
+            batch = positions[start:start + RESCORE_BATCH]
+            self._score[batch] = self._scores(batch)
+            self.rows_rescored += len(batch)
+            self.rescore_passes += 1
+
     def _commit(self, pos: int) -> tuple[float, int, list[int]]:
-        # Gives the object at `pos` the next seq and covers its row's uncovered objects, marking
-        # dirty the rows holding them (by symmetry, their own rows). Covering nothing writes nothing.
+        # Gives the object at `pos` the next seq, covers its row's uncovered objects and re-scores
+        # the candidate rows holding them (by symmetry, their own rows). Covering nothing writes nothing.
         self.next_seq += 1
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
         cols = cols[~self._covered[cols]]
@@ -182,14 +180,15 @@ class SelectionState:
             return 0.0, 0, []
         newly = self.index.keys[cols].tolist()
         self._covered[cols] = True
-        self._dirty[self._entries(cols)[1]] = True
+        touched = np.unique(self._entries(cols)[1])
+        self._rescore(touched[self._score[touched] > -math.inf])
         self.coverage_owner.update(dict.fromkeys(newly, self.next_seq - 1))
         return float(self.index.distances(cols, self.index.coords[pos]).max()), len(newly), newly
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
-        return {int(self.index.keys[pos]): self._scores(np.array([pos]))[0]
-                for pos in sorted(pos for _, pos in self._heap)}
+        live = np.flatnonzero(self._score > -math.inf)
+        return dict(zip(self.index.keys[live].tolist(), self._score[live].tolist()))
 
     def run(self, stop: StopCriterion) -> Iterator[RepresentativeRecord]:
         """Greedy selection; yields records best-first, one per round.
@@ -198,26 +197,16 @@ class SelectionState:
         closing it early cancels the remaining work.
         """
         limit = stop.resolve_count(len(self._covered))
-        while self._heap and (limit is None or len(self.chosen) < limit):
-            neg, pos = self._heap[0]
-            if self._dirty[pos]:
-                popped = [heapq.heappop(self._heap)[1]]
-                while len(popped) < RESCORE_BATCH and self._heap and self._dirty[self._heap[0][1]]:
-                    popped.append(heapq.heappop(self._heap)[1])
-                for score, row in zip(self._scores(np.array(popped)), popped):
-                    heapq.heappush(self._heap, (-score, row))
-                self._dirty[popped] = False
-                self.rows_rescored += len(popped)
-                self.rescore_passes += 1
-            elif stop.theta is not None and -neg <= stop.theta:
-                return  # not emitted; it stays a candidate, keyed by its exact score
-            else:
-                heapq.heappop(self._heap)
-                rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
-                seq = self.next_seq
-                cov_rad, cov_cnt, _ = self._commit(pos)
-                self.chosen.append(RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq))
-                yield self.chosen[-1]
+        while len(self.chosen) < len(self._score) and (limit is None or len(self.chosen) < limit):
+            pos = int(self._score.argmax())
+            if stop.theta is not None and self._score[pos] <= stop.theta:
+                return  # not emitted; it stays a candidate
+            self._score[pos] = -math.inf
+            rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
+            seq = self.next_seq
+            cov_rad, cov_cnt, _ = self._commit(pos)
+            self.chosen.append(RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq))
+            yield self.chosen[-1]
 
 
 def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[int]]:
@@ -227,9 +216,8 @@ def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[
     Returns (cov_rad, cov_cnt, newly_covered_ids): the distance to the
     farthest newly covered object (0 when nothing new is covered), the count
     of newly covered objects and their ids, ascending. Records `rep`'s seq as
-    the owner of each newly covered object. Candidate heap keys are left as
-    they are: they stay upper bounds, and the rows they may overstate are
-    marked dirty, to be re-scored when they reach the top.
+    the owner of each newly covered object. The commit re-scores the
+    candidates whose ball lost an uncovered object.
     """
     return state._commit(state._position(rep))
 

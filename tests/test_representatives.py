@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from distclust import (
 )
 from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import partition
-from distclust.representatives import read_records_jsonl, write_records_jsonl
+from distclust.representatives import RESCORE_BATCH, read_records_jsonl, write_records_jsonl
 
 
 def run_selection(ds, eps, stop, site=0):
@@ -129,23 +130,47 @@ def test_dyn_rep_q_reads_only_the_states_epsilon_and_objects():
 
 
 @pytest.mark.parametrize("dim", [2, 5])
-def test_initial_heap_keys_equal_stat_rep_q_bit_for_bit(rng, dim):
-    # Keys start as +inf bounds; the first passes re-score every row once, in
-    # batches, and must leave the very floats the per-query definition gives,
-    # or tie-breaks could flip. No key can fall to 1e300, so nothing is emitted.
+def test_initial_scores_equal_stat_rep_q_bit_for_bit(rng, dim):
+    # The constructor scores every row once, in batches, and must leave the very
+    # floats the per-query definition gives, or tie-breaks could flip. No score
+    # reaches 1e300, so nothing is emitted.
     ds = random_dataset(rng, 150, dim=dim, spread=4.0)
     ds = Dataset(ds.ids[::-1], ds.coords[::-1])  # input order unrelated to ids
     for eps in (0.4, 1.5, 3.0):
         state = SelectionState(ds, eps)
         assert list(state.run(StopCriterion.error_bound(1e300))) == []
         assert state.rows_rescored == len(ds)
-        keys = {int(state.index.keys[pos]): -neg for neg, pos in state._heap}
-        assert keys == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
+        assert state.candidate_scores() == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_maintained_scores_equal_fresh_scores_bit_for_bit(rng, dim):
+    # Each commit re-scores only the rows it touched; every other score must still
+    # be the very float a fresh score gives, after picks and outside commits alike.
+    n, eps = 200, math.sqrt(dim)
+    ds = Dataset(rng.permutation(n), rng.normal(0, 2, size=(n, dim)))
+    state = SelectionState(ds, eps)
+    assert (state.rows_rescored, state.rescore_passes) == (n, math.ceil(n / RESCORE_BATCH))
+
+    def check():
+        chosen = {r.point.id for r in state.chosen}
+        scores = state.candidate_scores()
+        assert chosen.isdisjoint(scores)
+        assert scores == {p.id: dyn_rep_q(p, eps, state) for p in ds if p.id not in chosen}
+
+    check()
+    for i, _ in enumerate(state.run(StopCriterion.size(n + 3))):
+        check()
+        if i in (2, 30, 90):
+            covering_stats(ds.point(int(rng.integers(n))), state)
+            check()
+    assert len(state.chosen) == n
+    assert state.candidate_scores() == {}
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_selection_graph_is_symmetric(rng, dim):
-    # A commit marks dirty only the newly covered objects' own rows, which is
+    # A commit re-scores only the newly covered objects' own rows, which is
     # right only if b's row lists a whenever a's row lists b. Lattice points put
     # many pairs at exactly eps; shuffled ids keep rows unrelated to the lattice.
     side = max(2, round(120 ** (1 / dim)))
@@ -371,8 +396,8 @@ def test_generator_cancellation_stops_work(rng):
 def test_resumed_and_interleaved_runs_match_naive_greedy(rng, dim):
     # One state driven every way a caller may drive it: a run closed early, outside
     # commits between runs and inside a paused run, a resumed size bound, a theta
-    # stop, then a size bound past the site. The dirty flags must outlive each run
-    # and see every commit, or a stale key is taken for an exact one.
+    # stop, then a size bound past the site. The maintained scores must outlive each
+    # run and see every commit, or a stale score is taken for an exact one.
     ds = random_dataset(rng, 90, dim=dim, spread=4.0 + dim)
     eps = 1.3
     state, naive = SelectionState(ds, eps), oracles.NaiveGreedy(as_pairs(ds), eps)
@@ -401,8 +426,8 @@ def test_resumed_and_interleaved_runs_match_naive_greedy(rng, dim):
 
 
 def test_no_row_is_rescored_after_the_first_zero_count_record():
-    # Once the best exact key is 0 every key is 0, and a commit that covers nothing
-    # marks nothing dirty: a size bound's inert tail costs no re-score.
+    # Once the best score is 0 every score is 0, and a commit that covers nothing
+    # re-scores nothing: a size bound's inert tail costs no re-score.
     ds = generate(dataset_spec("C", 1))
     state = SelectionState(ds, CLUSTER_PARAMS["C"].epsilon)
     at_first_zero = None
@@ -415,8 +440,8 @@ def test_no_row_is_rescored_after_the_first_zero_count_record():
 
 
 def test_kind_a_site_rescores_in_fewer_passes_than_picks():
-    # Row-at-a-time lazy greedy makes one pass per re-scored row, about 11 per pick
-    # on this site; batching the dirty top entries makes fewer passes than picks.
+    # Re-scoring a row at a time makes one pass per re-scored row, about 16 per pick
+    # on this site; batching each commit's rows makes fewer passes than picks.
     seed = 20260809
     site = partition(generate(dataset_spec("A", seed)), 4, seed)[0]
     state = SelectionState(site, CLUSTER_PARAMS["A"].epsilon)
