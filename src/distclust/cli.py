@@ -50,10 +50,6 @@ def _parse_budget(text: str) -> float | int:
         raise InputError(f"bad budget {text!r}: expected a fraction like 0.05 or a count like 25")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
-
-
 def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
@@ -206,8 +202,8 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.sites:
         raise InputError("--sites needs at least one site count")
-    cfg = _config_from_args(args, args.sites[0], tuple(args.fractions))
-    rows = sweep(cfg, fractions=args.fractions, site_counts=args.sites)
+    budgets = tuple(_parse_budget(v) for v in args.fractions.split(",") if v)
+    rows = sweep(_config_from_args(args, args.sites[0], budgets), site_counts=args.sites)
     write_sweep_csv(rows, args.out)
     print(f"{len(rows)} sweep rows -> {args.out}")
     return 0
@@ -268,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of pipeline runs, CSV output")
     _add_run_args(p)
-    p.add_argument("--fractions", type=_parse_floats, default=(0.01, 0.02, 0.05, 0.1, 0.2),
-                   help="comma list of per-site budgets")
+    p.add_argument("--fractions", default="0.01,0.02,0.05,0.1,0.2",
+                   help="comma list of per-site budgets, each a fraction (0.05) or a count (25)")
     p.add_argument("--sites", type=_parse_ints, default=(4,), help="comma list of site counts")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, check_epsilon
+from .geometry import BallIndex, Dataset, check_count, check_epsilon
 from .representatives import RepresentativeRecord
 from .tables import read_int_table, write_table
 
@@ -45,8 +45,7 @@ class GlobalParams:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if self.min_pts < 1:
-            raise InputError(f"min_pts must be >= 1, got {self.min_pts}")
+        check_count(self.min_pts, "min_pts")
 
 
 @dataclass

@@ -9,6 +9,7 @@ distance exactly ``radius`` from the center is included, in every dimension.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -48,6 +49,12 @@ def check_epsilon(epsilon: float) -> float:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InputError(f"epsilon must be positive and finite, got {epsilon}")
     return float(epsilon)
+
+
+def check_count(value: int, what: str) -> None:
+    """InputError unless `value` is an integer >= 1; numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 class Dataset:

@@ -11,6 +11,7 @@ dataset with the same parameters.
 from __future__ import annotations
 
 import multiprocessing.forkserver
+import numbers
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from .clustering import GlobalLabeling, GlobalParams, ReferenceLabeling, global_
 from .datagen import DatasetSpec, generate
 from .errors import InputError
 from .evaluation import CostModel, QualityReport, TransmissionCost, evaluate, transmission_cost
-from .geometry import Dataset
+from .geometry import Dataset, check_count
 from .relabel import LocalLabeling, relabel_site
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 from .tables import write_table
@@ -48,8 +49,8 @@ class ExperimentConfig:
     concurrent: bool = False
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise InputError(f"n_sites must be >= 1, got {self.n_sites}")
+        check_count(self.n_sites, "n_sites")
+        self.params  # checks epsilon and min_pts
         if not self.budgets:
             raise InputError("at least one representative budget is required")
         for b in self.budgets:
@@ -63,13 +64,11 @@ class ExperimentConfig:
 
 
 def budget_to_stop(budget: Budget) -> StopCriterion:
-    """A float in (0, 1] is a per-site fraction; an int >= 1 an absolute count."""
-    if isinstance(budget, bool):
-        raise InputError(f"bad budget {budget!r}")
-    if isinstance(budget, int):
-        return StopCriterion.size(budget)
+    """A float in (0, 1] is a per-site fraction; an integer >= 1 (numpy's too) an absolute count."""
     if isinstance(budget, float):
         return StopCriterion.fraction(budget)
+    if isinstance(budget, numbers.Integral):
+        return StopCriterion.size(budget)  # which rejects bools
     raise InputError(f"bad budget {budget!r}")
 
 
@@ -79,8 +78,7 @@ def partition(ds: Dataset, n_sites: int, seed: int) -> list[Dataset]:
     Site sizes differ by at most one; the parts are disjoint and their union
     is the input. Sites may come out empty when n_sites exceeds the dataset.
     """
-    if n_sites < 1:
-        raise InputError(f"n_sites must be >= 1, got {n_sites}")
+    check_count(n_sites, "n_sites")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     order = np.random.default_rng(seed).permutation(len(ds))
@@ -171,18 +169,16 @@ def _worker_context():
     return ctx
 
 
-def run_pipeline(cfg: ExperimentConfig, budget: Budget | None = None,
-                 dataset: Dataset | None = None,
+def run_pipeline(cfg: ExperimentConfig, *, dataset: Dataset | None = None,
                  reference: ReferenceLabeling | None = None) -> PipelineResult:
-    """One full distributed run at a single budget (default: the config's first).
+    """One full distributed run at the config's first budget.
 
     Pass `dataset`/`reference` to reuse work across runs; they must match the
     config's spec and params.
     """
-    stops = [budget_to_stop(cfg.budgets[0] if budget is None else budget)]
     ds = dataset if dataset is not None else generate(cfg.dataset)
     reference = reference if reference is not None else reference_dbscan(ds, cfg.params)
-    return next(_runs(cfg, ds, stops, reference))
+    return next(_runs(cfg, ds, [budget_to_stop(cfg.budgets[0])], reference))
 
 
 def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
@@ -236,29 +232,25 @@ class SweepRow:
     cpu_time: float
 
 
-def sweep(cfg: ExperimentConfig, fractions: Sequence[Budget] | None = None,
-          site_counts: Sequence[int] | None = None) -> list[SweepRow]:
-    """One row per (site count, budget) cell, budgets inner and as given.
+def sweep(cfg: ExperimentConfig, *, site_counts: Sequence[int] | None = None) -> list[SweepRow]:
+    """One row per (site count, budget) cell, the config's budgets inner and as given.
 
     The dataset is generated and the reference clustered once. Per site count,
     each site selects once and every budget is sliced from its stream; a row's
     `cpu_time` is what a run at that budget alone costs.
     """
-    fractions = tuple(fractions) if fractions is not None else cfg.budgets
-    if not fractions:
-        raise InputError("empty budget list")
     site_counts = tuple(site_counts) if site_counts is not None else (cfg.n_sites,)
     if not site_counts:
         raise InputError("empty site-count list")
 
-    stops = [budget_to_stop(frac) for frac in fractions]
+    stops = [budget_to_stop(budget) for budget in cfg.budgets]
     ds = generate(cfg.dataset)
     reference = reference_dbscan(ds, cfg.params)
     rows = []
     for n_sites in site_counts:
         results = _runs(replace(cfg, n_sites=n_sites), ds, stops, reference)
-        for frac, result in zip(fractions, results):
-            rows.append(SweepRow(frac, n_sites, result.report.matching_quality,
+        for budget, result in zip(cfg.budgets, results):
+            rows.append(SweepRow(budget, n_sites, result.report.matching_quality,
                                  result.cost.bytes_distributed, result.cost.speedup,
                                  result.cpu_seconds))
     return rows

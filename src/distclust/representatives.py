@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, Point, check_epsilon
+from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon
 from .tables import read_text
 
 RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
@@ -55,8 +55,8 @@ class StopCriterion:
         active = sum(v is not None for v in (self.max_count, self.max_fraction, self.theta))
         if active != 1:
             raise InputError("exactly one stop-criterion variant must be set")
-        if self.max_count is not None and self.max_count < 1:
-            raise InputError("size bound must be >= 1")
+        if self.max_count is not None:
+            check_count(self.max_count, "size bound")
         if self.max_fraction is not None and not 0.0 < self.max_fraction <= 1.0:
             raise InputError("fraction bound must be in (0, 1]")
         if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):

@@ -125,10 +125,10 @@ def test_criterion_4_quality_vs_budget_trend_dataset_a():
     with criterion(4, "dataset A: quality non-decreasing over budgets, >= 0.90 at 5%"):
         spec = dataset_spec("A", seed=FROZEN_SEED)
         params = CLUSTER_PARAMS["A"]
-        cfg = ExperimentConfig(dataset=spec, n_sites=4, epsilon=params.epsilon,
-                               min_pts=params.min_pts, budgets=(0.05,), seed=FROZEN_SEED)
         fractions = [0.01, 0.02, 0.05, 0.1, 0.2]
-        rows = sweep(cfg, fractions=fractions, site_counts=[4])
+        cfg = ExperimentConfig(dataset=spec, n_sites=4, epsilon=params.epsilon,
+                               min_pts=params.min_pts, budgets=tuple(fractions), seed=FROZEN_SEED)
+        rows = sweep(cfg, site_counts=[4])
         qualities = {row.fraction: row.quality for row in rows}
         for lo, hi in zip(fractions, fractions[1:]):
             assert qualities[hi] >= qualities[lo] - 0.03, (
@@ -144,7 +144,7 @@ def test_criterion_5_quality_vs_sites_trend_dataset_b():
         cfg = ExperimentConfig(dataset=spec, n_sites=2, epsilon=params.epsilon,
                                min_pts=params.min_pts, budgets=(0.13,), seed=FROZEN_SEED)
         site_counts = [2, 4, 8, 12]
-        rows = sweep(cfg, fractions=[0.13], site_counts=site_counts)
+        rows = sweep(cfg, site_counts=site_counts)
         qualities = {row.n_sites: row.quality for row in rows}
         for lo, hi in zip(site_counts, site_counts[1:]):
             assert qualities[hi] <= qualities[lo] + 0.03, (

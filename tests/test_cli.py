@@ -123,6 +123,23 @@ def test_sweep_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_fractions_take_counts_like_budget(tmp_path):
+    # `1` is one record per site, `1.0` the whole of each site (kind C seed 1 has 1021 points).
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--kind", "C", "--seed", "1", "--sites", "3",
+                "--fractions", "1,1.0", "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("1", "324"), ("1.0", "110268")]
+
+
+@pytest.mark.parametrize("fractions", ["0.1,lots", "0.1,0", "1.5"])
+def test_sweep_rejects_a_bad_fraction(tmp_path, capsys, fractions):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--kind", "C", "--seed", "1", "--fractions", fractions, "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--sites", "--fractions"])
 def test_sweep_rejects_an_empty_list(tmp_path, capsys, flag):
     out = tmp_path / "sweep.csv"

@@ -47,6 +47,12 @@ def test_global_params_validation():
         GlobalParams(1.0, 0)
 
 
+@pytest.mark.parametrize("min_pts", [2.5, True])
+def test_global_params_min_pts_must_be_an_integer(min_pts):
+    with pytest.raises(InputError, match="min_pts must be an integer"):
+        GlobalParams(1.0, min_pts)
+
+
 # ------------------------------------------------------------- global dbscan
 
 def test_enlarged_range_merges_what_plain_range_would_miss():

@@ -1,6 +1,7 @@
 import multiprocessing
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -65,6 +66,12 @@ def test_partition_more_sites_than_points(rng):
     for part in parts:
         assert part.dim == 3 and part.coords.shape == (len(part), 3)
         assert all(rows[i] == row for i, row in zip(part.ids.tolist(), part.coords.tolist()))
+
+
+@pytest.mark.parametrize("n_sites", [2.5, True])
+def test_partition_rejects_a_non_integer_site_count(rng, n_sites):
+    with pytest.raises(InputError, match="n_sites must be an integer"):
+        partition(random_dataset(rng, 10), n_sites, seed=0)
 
 
 def test_partition_rejects_a_negative_seed(rng):
@@ -144,8 +151,12 @@ def test_merge_accepts_empty_and_prefix_streams():
 def test_budget_parsing():
     assert budget_to_stop(0.25) == StopCriterion.fraction(0.25)
     assert budget_to_stop(12) == StopCriterion.size(12)
+    assert budget_to_stop(np.int64(2)) == StopCriterion.size(2)
+    assert budget_to_stop(np.float64(0.5)) == StopCriterion.fraction(0.5)
     with pytest.raises(InputError):
         budget_to_stop(True)
+    with pytest.raises(InputError, match="bad budget"):
+        budget_to_stop(np.True_)
     with pytest.raises(InputError):
         budget_to_stop(0.0)
     with pytest.raises(InputError, match="bad budget"):
@@ -255,7 +266,7 @@ def test_run_pipeline_equals_composed_oracles(dim, merge_order, concurrent):
     reference = None
     # Every object is picked at 1.0 and at 150 (past every 100-object site): a zero-count tail.
     for budget, full in ((1, False), (0.05, False), (0.3, False), (1.0, True), (150, True)):
-        result = run_pipeline(cfg, budget, dataset=ds, reference=reference)
+        result = run_pipeline(replace(cfg, budgets=(budget,)), dataset=ds, reference=reference)
         reference = result.reference
         global_labels, distributed, stream = composed_oracles(ds, cfg, budget)
         assert result.global_labeling.labels == global_labels
@@ -274,7 +285,7 @@ def test_run_pipeline_equals_composed_oracles(dim, merge_order, concurrent):
 
 def test_sweep_grid_shape_and_csv(tmp_path):
     cfg = tiny_config()
-    rows = sweep(cfg, fractions=[0.1, 0.3], site_counts=[2, 3])
+    rows = sweep(replace(cfg, budgets=(0.1, 0.3)), site_counts=[2, 3])
     assert len(rows) == 4
     assert [(r.fraction, r.n_sites) for r in rows] == [
         (0.1, 2), (0.3, 2), (0.1, 3), (0.3, 3)
@@ -287,7 +298,7 @@ def test_sweep_grid_shape_and_csv(tmp_path):
 
 
 def test_sweep_quality_grows_with_budget():
-    rows = sweep(tiny_config(), fractions=[0.05, 0.5], site_counts=[2])
+    rows = sweep(tiny_config(budgets=(0.05, 0.5)), site_counts=[2])
     assert rows[1].quality >= rows[0].quality - 0.03
     assert rows[0].speedup > rows[1].speedup
 
@@ -305,7 +316,7 @@ def per_budget_rows(cfg, fractions, site_counts):
     rows = []
     for n_sites in site_counts:
         for frac in fractions:
-            result = run_pipeline(replace(cfg, n_sites=n_sites), budget=frac,
+            result = run_pipeline(replace(cfg, n_sites=n_sites, budgets=(frac,)),
                                   dataset=ds, reference=reference)
             rows.append(SweepRow(frac, n_sites, result.report.matching_quality,
                                  result.cost.bytes_distributed, result.cost.speedup, 0.0))
@@ -324,21 +335,21 @@ def without_cpu_time(rows):
     pytest.param(tiny_config(merge_order="concat"), [0.05, 0.5, 0.2], [3], id="concat"),
 ])
 def test_sliced_sweep_equals_per_budget_runs(cfg, fractions, site_counts):
-    rows = sweep(cfg, fractions=fractions, site_counts=site_counts)
+    rows = sweep(replace(cfg, budgets=tuple(fractions)), site_counts=site_counts)
     assert without_cpu_time(rows) == per_budget_rows(cfg, fractions, site_counts)
     assert [type(row.fraction) for row in rows] == [type(f) for f in fractions * len(site_counts)]
 
 
 def test_concurrent_sweep_equals_sequential():
-    args = dict(fractions=[0.3, 0.05, 1.0, 4], site_counts=[1, 3])
-    assert without_cpu_time(sweep(tiny_config(concurrent=True), **args)) == without_cpu_time(
-        sweep(tiny_config(), **args))
+    cfg = tiny_config(budgets=(0.3, 0.05, 1.0, 4))
+    assert without_cpu_time(sweep(replace(cfg, concurrent=True), site_counts=[1, 3])) == (
+        without_cpu_time(sweep(cfg, site_counts=[1, 3])))
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_keeps_count_and_fraction_budgets_apart(tmp_path):
     # The count 1 (one record per site) and the fraction 1.0 (whole sites).
-    rows = sweep(kind_config("C", 1, 3), fractions=[1, 1.0])
+    rows = sweep(kind_config("C", 1, 3, budgets=(1, 1.0)))
     assert [(type(r.fraction), r.bytes) for r in rows] == [(int, 3 * 108), (float, 1021 * 108)]
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
@@ -373,10 +384,9 @@ def test_sweep_cpu_time_is_each_budgets_own_run(monkeypatch):
 
 
 def test_sweep_rejects_empty_ranges():
+    # An empty budget list is the config's to reject (test_config_validation).
     with pytest.raises(InputError):
-        sweep(tiny_config(), fractions=[], site_counts=[2])
-    with pytest.raises(InputError):
-        sweep(tiny_config(), fractions=[0.1], site_counts=[])
+        sweep(tiny_config(budgets=(0.1,)), site_counts=[])
 
 
 def test_config_validation():
@@ -386,3 +396,12 @@ def test_config_validation():
         tiny_config(budgets=())
     with pytest.raises(InputError):
         tiny_config(merge_order="random")
+    with pytest.raises(InputError, match="epsilon"):
+        tiny_config(epsilon=float("nan"))
+
+
+@pytest.mark.parametrize("field,value", [("n_sites", 2.5), ("n_sites", True), ("min_pts", 2.5)])
+def test_config_counts_must_be_integers(field, value):
+    # Caught when the config is built, not by `range` after the reference is clustered.
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        tiny_config(**{field: value})

@@ -496,6 +496,10 @@ def test_stop_criterion_validation():
         StopCriterion(max_count=3, theta=0.0)
     with pytest.raises(InputError):
         StopCriterion.size(0)
+    for count in (2.5, 1.2, True):
+        with pytest.raises(InputError, match="size bound must be an integer"):
+            StopCriterion.size(count)
+    assert StopCriterion.size(np.int64(2)).resolve_count(10) == 2
     with pytest.raises(InputError):
         StopCriterion.fraction(0.0)
     with pytest.raises(InputError):
