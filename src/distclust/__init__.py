@@ -31,13 +31,6 @@ from .pipeline import (
     sweep,
 )
 from .relabel import LocalLabeling, relabel_site
-from .representatives import (
-    RepresentativeRecord,
-    SelectionState,
-    StopCriterion,
-    covering_stats,
-    dyn_rep_q,
-    stat_rep_q,
-)
+from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 
 __version__ = "0.1.0"

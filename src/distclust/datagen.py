@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import GlobalParams
 from .errors import InputError
-from .geometry import Dataset
+from .geometry import Dataset, check_count
 
 Bounds = tuple[tuple[float, float], ...]
 
@@ -36,14 +36,11 @@ class DatasetSpec:
     min_center_separation: float = 25.0
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise InputError(f"n_points must be >= 1, got {self.n_points}")
-        if self.n_clusters < 0:
-            raise InputError(f"n_clusters must be >= 0, got {self.n_clusters}")
+        check_count(self.n_points, "n_points")
+        check_count(self.n_clusters, "n_clusters", 0)
+        check_count(self.seed, "seed", 0)
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise InputError(f"noise_fraction must be in [0, 1], got {self.noise_fraction}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise InputError(f"bad bounds {self.bounds}")

@@ -1,9 +1,9 @@
 """Points, datasets, and the closed-ball range index with its Euclidean distance.
 
 Every neighborhood in the pipeline is a row's closed ball from
-`BallIndex.pair_blocks` (and so from `graph`), at one radius or one per row;
-`query` is the single-ball definition they are tested against. A point at
-distance exactly ``radius`` from the center is included, in every dimension.
+`BallIndex.pair_blocks` (and so from `graph`), at one radius or one per row,
+cut by the one distance formula of `BallIndex.distances`. A point at distance
+exactly ``radius`` from the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ def check_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
-def check_count(value: int, what: str) -> None:
-    """InputError unless `value` is an integer >= 1; numpy integers count, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InputError(f"{what} must be an integer >= 1, got {value!r}")
+def check_count(value: int, what: str, least: int = 1) -> None:
+    """InputError unless `value` is an integer >= `least`; numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 class Dataset:
@@ -88,16 +88,6 @@ class Dataset:
 
     def __iter__(self) -> Iterator[Point]:
         return map(Point, self.ids.tolist(), self.coords.tolist())
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(self)
-
-    def point(self, point_id: int) -> Point:
-        found = np.flatnonzero(self.ids == point_id)
-        if not len(found):
-            raise InputError(f"no point with id {point_id}")
-        return Point(int(self.ids[found[0]]), self.coords[found[0]].tolist())
 
 
 class BallIndex:
@@ -138,19 +128,6 @@ class BallIndex:
             square += diff * diff
         return np.sqrt(square)
 
-    def query(self, center: Sequence[float], radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Keys (ascending) and distances of the rows in `center`'s closed `radius`-ball."""
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (self.dim,):
-            raise InputError(f"query center has dimension {center.shape}, index has {self.dim}")
-        if not radius >= 0:
-            raise InputError(f"radius must be non-negative, got {radius}")
-        positions = np.array(self._tree.query_ball_point(center, _inflate(radius), return_sorted=True),
-                             dtype=np.intp)
-        dists = self.distances(positions, center)
-        keep = dists <= radius
-        return self.keys[positions[keep]], dists[keep]
-
     def pair_blocks(self, radius: float | np.ndarray, rows: np.ndarray | None = None,
                     counts: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """The closed balls of ascending positions `rows` (default: all) at `radius` (one, or one per
@@ -172,7 +149,7 @@ class BallIndex:
 
     def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR arrays (indptr, cols) of every row's closed ball (`radius`: one, or one per row):
-        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows `query` finds."""
+        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows of its ball."""
         radius = self._check_radius(radius)
         # The candidate count bounds the columns, so they fill one array in place.
         counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)

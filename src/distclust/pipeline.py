@@ -50,6 +50,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_count(self.n_sites, "n_sites")
+        check_count(self.seed, "seed", 0)
         self.params  # checks epsilon and min_pts
         if not self.budgets:
             raise InputError("at least one representative budget is required")
@@ -79,8 +80,7 @@ def partition(ds: Dataset, n_sites: int, seed: int) -> list[Dataset]:
     is the input. Sites may come out empty when n_sites exceeds the dataset.
     """
     check_count(n_sites, "n_sites")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    check_count(seed, "seed", 0)
     order = np.random.default_rng(seed).permutation(len(ds))
     parts = [order[k::n_sites] for k in range(n_sites)]
     return [Dataset(ds.ids[part], ds.coords[part]) for part in parts]

@@ -83,28 +83,6 @@ class StopCriterion:
         return None
 
 
-def stat_rep_q(o: Point, epsilon: float, idx: BallIndex) -> float:
-    """Static representation quality: sum of (epsilon - d) over the closed
-    epsilon-neighborhood of o, including o's own epsilon term."""
-    epsilon = check_epsilon(epsilon)
-    _, dists = idx.query(o.coords, epsilon)
-    return _margin_sum(epsilon, dists)
-
-
-def dyn_rep_q(o: Point, epsilon: float, state: "SelectionState") -> float:
-    """Dynamic representation quality of o: the static sum restricted to
-    neighbors not yet covered by any chosen representative."""
-    if epsilon != state.epsilon:
-        raise InputError(f"epsilon {epsilon} is not the selection's epsilon {state.epsilon}")
-    return state._scores(np.array([state._position(o)]))[0]
-
-
-def _margin_sum(epsilon: float, dists: np.ndarray) -> float:
-    # Left to right in ascending id order: cumsum never re-associates, so
-    # exact score ties (and the greedy tie-breaks) are reproducible.
-    return float(np.cumsum(epsilon - dists)[-1]) if len(dists) else 0.0
-
-
 class SelectionState:
     """Mutable state of one site's greedy selection. The site's closed
     epsilon-balls are built once, as `BallIndex.graph` rows of int32 positions;
@@ -132,14 +110,7 @@ class SelectionState:
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
-        self.next_seq = 0  # advanced by `_commit`, once per representative
         self._rescore(np.arange(len(dataset)))
-
-    def _position(self, o: Point) -> int:
-        pos = int(np.searchsorted(self.index.keys, o.id))
-        if pos == len(self.index.keys) or self.index.keys[pos] != o.id:
-            raise InputError(f"object {o.id} is not in site {self.site}")
-        return pos
 
     def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
@@ -149,19 +120,15 @@ class SelectionState:
         return row, self._cols[np.arange(len(row)) + shift[row]]
 
     def _scores(self, positions: np.ndarray) -> list[float]:
-        # The dynamic quality of each row at `positions`, in one pass. A row's uncovered terms
-        # fill one grid row from the left, so cumsum along it adds them in `_margin_sum`'s
-        # order; the +0.0 padding after them changes no bit of a non-negative sum.
+        # The dynamic quality of each row at `positions`, in one pass. Weighted bincount adds
+        # each row's uncovered terms one by one in input order, ascending id, so exact score
+        # ties (and the greedy tie-breaks) are reproducible.
         row, cols = self._entries(positions)
         keep = ~self._covered[cols]
         row, cols = row[keep], cols[keep]
         centers = self.index.coords.take(positions[row], axis=0)  # ~10x faster than coords[...]
         terms = self.epsilon - self.index.distances(cols, centers)
-        kept = np.bincount(row, minlength=len(positions))
-        rank = np.arange(len(row)) - (kept.cumsum() - kept)[row]  # place within the row
-        grid = np.zeros((len(positions), kept.max(initial=1)))
-        grid[row, rank] = terms
-        return grid.cumsum(axis=1)[:, -1].tolist()
+        return np.bincount(row, weights=terms, minlength=len(positions)).tolist()
 
     def _rescore(self, positions: np.ndarray) -> None:
         for start in range(0, len(positions), RESCORE_BATCH):
@@ -170,20 +137,18 @@ class SelectionState:
             self.rows_rescored += len(batch)
             self.rescore_passes += 1
 
-    def _commit(self, pos: int) -> tuple[float, int, list[int]]:
-        # Gives the object at `pos` the next seq, covers its row's uncovered objects and re-scores
+    def _commit(self, pos: int, seq: int) -> tuple[float, int]:
+        # Covers the uncovered objects of the row at `pos` for representative `seq` and re-scores
         # the candidate rows holding them (by symmetry, their own rows). Covering nothing writes nothing.
-        self.next_seq += 1
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
         cols = cols[~self._covered[cols]]
         if not len(cols):
-            return 0.0, 0, []
-        newly = self.index.keys[cols].tolist()
+            return 0.0, 0
         self._covered[cols] = True
         touched = np.unique(self._entries(cols)[1])
         self._rescore(touched[self._score[touched] > -math.inf])
-        self.coverage_owner.update(dict.fromkeys(newly, self.next_seq - 1))
-        return float(self.index.distances(cols, self.index.coords[pos]).max()), len(newly), newly
+        self.coverage_owner.update(dict.fromkeys(self.index.keys[cols].tolist(), seq))
+        return float(self.index.distances(cols, self.index.coords[pos]).max()), len(cols)
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
@@ -203,23 +168,9 @@ class SelectionState:
                 return  # not emitted; it stays a candidate
             self._score[pos] = -math.inf
             rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
-            seq = self.next_seq
-            cov_rad, cov_cnt, _ = self._commit(pos)
-            self.chosen.append(RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, seq))
+            seq = len(self.chosen)
+            self.chosen.append(RepresentativeRecord(rep, *self._commit(pos, seq), self.site, seq))
             yield self.chosen[-1]
-
-
-def covering_stats(rep: Point, state: SelectionState) -> tuple[float, int, list[int]]:
-    """Coverage aggregates of `rep` against the state's current covered set,
-    and the commit of that coverage.
-
-    Returns (cov_rad, cov_cnt, newly_covered_ids): the distance to the
-    farthest newly covered object (0 when nothing new is covered), the count
-    of newly covered objects and their ids, ascending. Records `rep`'s seq as
-    the owner of each newly covered object. The commit re-scores the
-    candidates whose ball lost an uncovered object.
-    """
-    return state._commit(state._position(rep))
 
 
 def record_to_json(rec: RepresentativeRecord) -> str:

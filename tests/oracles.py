@@ -118,10 +118,8 @@ def naive_select(points, eps, size_bound=None, theta=None):
 
 
 class NaiveGreedy:
-    """`naive_select` one pick at a time over a covered set that outside
-    commits (the package's `covering_stats`) also grow. A commit takes the next
-    seq and leaves the committed object a candidate; only picks count toward a
-    size bound."""
+    """`naive_select` one pick at a time, so that one selection can be stopped
+    and resumed under another bound; a pick takes the next seq."""
 
     def __init__(self, points, eps):
         self.eps = eps
@@ -129,7 +127,6 @@ class NaiveGreedy:
         self.candidates = {pid for pid, _ in points}
         self.covered: set[int] = set()
         self.owner: dict[int, int] = {}
-        self.picks = 0
         self.seq = 0
 
     def commit(self, oid):
@@ -145,7 +142,7 @@ class NaiveGreedy:
         """Picks until `size_bound` picks exist in all, no candidate is left or
         the best score is <= theta; returns (id, cov_rad, cov_cnt, seq) per pick."""
         records = []
-        while self.candidates and (size_bound is None or self.picks < size_bound):
+        while self.candidates and (size_bound is None or self.seq < size_bound):
             scores = def3_scores_fast(self.nbrs, self.eps, self.covered, self.candidates)
             best = min(self.candidates, key=lambda o: (-scores[o], o))
             if theta is not None and scores[best] <= theta:
@@ -153,7 +150,6 @@ class NaiveGreedy:
             seq = self.seq
             records.append((best, *self.commit(best), seq))
             self.candidates.discard(best)
-            self.picks += 1
         return records
 
 

@@ -66,11 +66,11 @@ def test_criterion_1_degenerate_reduction():
             n = int(rng.integers(50, 2001))
             ds = random_dataset(rng, n, clustered=bool(rng.integers(0, 2)))
             params = GlobalParams(float(rng.uniform(0.3, 2.0)), int(rng.integers(2, 11)))
-            reps = [RepresentativeRecord(p, 0.0, 1, 0, k) for k, p in enumerate(ds.points)]
+            reps = [RepresentativeRecord(p, 0.0, 1, 0, k) for k, p in enumerate(ds)]
             got = global_dbscan(reps, params)
             ref = reference_dbscan(ds, params)
             got_seq = [got.labels[(0, k)] for k in range(len(ds))]
-            ref_seq = [ref.labels[p.id] for p in ds.points]
+            ref_seq = [ref.labels[p.id] for p in ds]
             assert canonical(got_seq) == canonical(ref_seq), f"trial {trial} (n={n})"
 
 
@@ -188,7 +188,7 @@ def test_criterion_7a_coverage_partition():
         by_rep = {r.seq: r for r in records}
         for oid, seq in state.coverage_owner.items():
             rep = by_rep[seq]
-            assert oracles.dist(ds.point(oid).coords, rep.point.coords) <= eps
+            assert oracles.dist(ds.coords[oid].tolist(), rep.point.coords) <= eps
 
     with criterion("7a", "coverage partition under exhaustive selection"):
         prop()

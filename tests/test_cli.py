@@ -212,7 +212,7 @@ def test_global_rejects_coordinates_whose_squared_distances_overflow(tmp_path, c
                          ids=["gen", "pipeline"])
 def test_negative_seed_is_diagnosed(tmp_path, capsys, args):
     assert run([*args, tmp_path / "out", "--kind", "C", "--seed", "-1"]) == 1
-    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert "error: seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_global_rejects_a_zero_dimensional_representative(tmp_path, capsys):

@@ -30,7 +30,7 @@ def rec(coords, cov_rad=0.0, cov_cnt=1, site=0, seq=0):
 
 def unit_records(ds, site=0):
     """Per-point records: cov_rad 0, cov_cnt 1, seq in dataset order."""
-    return [RepresentativeRecord(p, 0.0, 1, site, k) for k, p in enumerate(ds.points)]
+    return [RepresentativeRecord(p, 0.0, 1, site, k) for k, p in enumerate(ds)]
 
 
 def labels_by_seq(labeling, site=0):
@@ -119,7 +119,7 @@ def test_degenerate_reduction_to_reference(rng):
         got = global_dbscan(unit_records(ds), params)
         ref = reference_dbscan(ds, params)
         assert {seq: cid for (_, seq), cid in got.labels.items()} == {
-            k: ref.labels[p.id] for k, p in enumerate(ds.points)
+            k: ref.labels[p.id] for k, p in enumerate(ds)
         }
 
 
@@ -329,8 +329,8 @@ def test_reference_matches_brute_force_high_dim(rng, dim):
         ds = random_dataset(rng, int(rng.integers(30, 150)), dim=dim)
         pairs = as_pairs(ds)
         # epsilon equal to an actual pairwise distance puts points on the boundary
-        p, q = ds.points[0], ds.points[int(rng.integers(1, len(ds)))]
-        eps = max(oracles.dist(p.coords, q.coords), 0.5)
+        p, q = ds.coords[0].tolist(), ds.coords[int(rng.integers(1, len(ds)))].tolist()
+        eps = max(oracles.dist(p, q), 0.5)
         min_pts = int(rng.integers(2, 8))
         got = reference_dbscan(ds, GlobalParams(eps, min_pts))
         assert got.labels == oracles.literal_dbscan(pairs, eps, min_pts)

@@ -21,7 +21,7 @@ def test_same_seed_is_byte_identical(tmp_path):
 def test_different_seeds_differ():
     da = generate(dataset_spec("C", seed=1))
     db = generate(dataset_spec("C", seed=2))
-    assert da.points[0].coords != db.points[0].coords
+    assert da.coords[0].tolist() != db.coords[0].tolist()
 
 
 def test_points_stay_inside_bounds():
@@ -67,6 +67,10 @@ def test_invalid_specs_rejected():
         DatasetSpec(seed=-1)
     with pytest.raises(InputError, match="n_clusters"):
         DatasetSpec(n_clusters=-1)
+    for field in ("n_points", "n_clusters"):
+        for value in (2.5, True):
+            with pytest.raises(InputError, match=f"{field} must be an integer"):
+                DatasetSpec(**{field: value})
 
 
 def test_impossible_center_separation_rejected():

@@ -66,54 +66,61 @@ def test_dataset_rejects_bad_arrays(ids, coords):
 def test_dataset_builds_points_from_rows():
     ds = Dataset([5, 2], [[1.0, 2.0], [3.0, 4.0]])
     assert list(ds) == [Point(5, (1.0, 2.0)), Point(2, (3.0, 4.0))]
-    assert ds.points == tuple(ds)
-    assert ds.point(2) == Point(2, (3.0, 4.0))
     assert ds.ids.dtype == np.int64 and ds.coords.dtype == np.float64
-    with pytest.raises(InputError):
-        ds.point(7)
+
+
+def graph_rows(idx, radius):
+    """Each row's neighbour keys from the index's graph, in stored order."""
+    indptr, cols = idx.graph(radius)
+    assert cols.dtype == np.int32 and indptr.shape == (len(idx.keys) + 1,)
+    return [idx.keys[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(idx.keys))]
+
+
+def balls(ds, radius):
+    """Each object's closed ball as a set of ids, by id, from the graph; the
+    index's `pair_blocks` must give the same pairs."""
+    idx = BallIndex(ds.coords, ds.ids)
+    rows = dict(zip(idx.keys.tolist(), map(set, graph_rows(idx, radius))))
+    blocks = [(idx.keys[r].tolist(), idx.keys[c].tolist()) for _, _, r, c in idx.pair_blocks(radius)]
+    pairs = {pair for r, c in blocks for pair in zip(r, c)}
+    assert pairs == {(a, b) for a, row in rows.items() for b in row}
+    return rows
 
 
 def ball_ids(ds, center, radius):
-    """Ids the dataset's closed-ball index returns, as a set."""
-    return set(BallIndex(ds.coords, ds.ids).query(center, radius)[0].tolist())
+    """Ids in the closed ball around any `center`: the `pair_blocks` row of one
+    more object, placed at `center`, less that object."""
+    extra = int(ds.ids.max(initial=-1)) + 1
+    idx = BallIndex(np.vstack([ds.coords, [center]]), [*ds.ids.tolist(), extra])
+    blocks = idx.pair_blocks(radius, np.array([len(ds)]))
+    return set().union(*(idx.keys[cols].tolist() for _, _, _, cols in blocks)) - {extra}
 
 
 def test_duplicate_coordinates_are_distinct_objects():
     ds = make_dataset([(1.0, 1.0), (1.0, 1.0)])
-    assert ball_ids(ds, ds.point(0).coords, 0.0) == {0, 1}
+    assert balls(ds, 0.0) == {0: {0, 1}, 1: {0, 1}}
 
 
 def test_empty_dataset_index():
     ds = Dataset([], np.empty((0, 2)))
+    assert balls(ds, 100.0) == {}
     assert ball_ids(ds, (5.0, 5.0), 100.0) == set()
 
 
 def test_single_point_index():
     ds = make_dataset([(2.0, 3.0)])
-    assert ball_ids(ds, ds.point(0).coords, 0.0) == {0}
-    assert ball_ids(ds, ds.point(0).coords, 10.0) == {0}
+    assert balls(ds, 0.0) == balls(ds, 10.0) == {0: {0}}
 
 
 def test_range_query_hand_case():
     ds = make_dataset([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
-    assert ball_ids(ds, ds.point(0).coords, 1.0) == {0, 1}
+    assert balls(ds, 1.0) == {0: {0, 1}, 1: {0, 1}, 2: {2}}
 
 
 def test_range_query_boundary_is_inclusive():
     ds = make_dataset([(0.0, 0.0), (3.0, 4.0)])
-    assert ball_ids(ds, ds.point(0).coords, 5.0) == {0, 1}
-    assert ball_ids(ds, ds.point(0).coords, 4.999999) == {0}
-
-
-def test_range_query_validates_input():
-    ds = make_dataset([(0.0, 0.0)])
-    idx = BallIndex(ds.coords)
-    with pytest.raises(InputError):
-        idx.query((0.0, 0.0), -0.5)
-    with pytest.raises(InputError):
-        idx.query((0.0, 0.0), float("nan"))
-    with pytest.raises(InputError):
-        idx.query((0.0, 0.0, 0.0), 1.0)
+    assert balls(ds, 5.0) == {0: {0, 1}, 1: {0, 1}}
+    assert balls(ds, 4.999999) == {0: {0}, 1: {1}}
 
 
 def test_index_rejects_bad_keys():
@@ -135,43 +142,51 @@ def test_index_rejects_coordinates_whose_squared_distances_overflow(coords):
 
 def test_index_takes_spans_whose_squared_distances_stay_finite():
     idx = BallIndex(np.array([[0.0, 0.0], [9e153, 9e153]]))
-    assert idx.query((0.0, 0.0), 1.0)[0].tolist() == [0]
     assert idx.graph(1.0)[1].tolist() == [0, 1]
 
 
 def test_query_answers_keys_ascending_with_their_distances():
     coords = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
-    keys, dists = BallIndex(coords, [7, 30, 2, 5]).query((0.0, 0.0), 5.0)
-    assert keys.tolist() == [2, 7, 30]
-    assert dists.tolist() == [1.0, 5.0, 0.0]
-    keys, _ = BallIndex(coords).query((0.0, 0.0), 5.0)
-    assert keys.tolist() == [0, 1, 2]
+    idx = BallIndex(coords, [7, 30, 2, 5])
+    indptr, cols = idx.graph(5.0)
+    row = cols[indptr[3]:indptr[4]]  # key 30, at the origin
+    assert idx.keys[row].tolist() == [2, 7, 30]
+    assert idx.distances(row, idx.coords[3]).tolist() == [1.0, 5.0, 0.0]
+    assert graph_rows(BallIndex(coords), 5.0)[1] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_distances_equal_the_oracle_bit_for_bit(rng, dim):
+    # The oracles' closed balls and scores are exact references only if both
+    # sides measure with the very same floats.
+    idx = BallIndex(random_dataset(rng, 50, dim=dim).coords)
+    rows, points = np.arange(50), idx.coords.tolist()
+    for center in rng.uniform(-2, 12, size=(5, dim)):
+        assert idx.distances(rows, center).tolist() == [oracles.dist(p, center.tolist()) for p in points]
+    others = rng.permutation(50)
+    assert idx.distances(rows, idx.coords[others]).tolist() == [
+        oracles.dist(points[i], points[j]) for i, j in zip(rows, others)]
 
 
 def test_index_matches_brute_force_random(rng):
     ds = random_dataset(rng, 200)
     pairs = as_pairs(ds)
-    idx = BallIndex(ds.coords, ds.ids)
     for _ in range(50):
         center = tuple(map(float, rng.uniform(-2, 12, 2)))
         radius = float(rng.uniform(0, 4))
-        keys, dists = idx.query(center, radius)
-        assert set(keys.tolist()) == oracles.brute_range_ids(pairs, center, radius)
-        assert dists.tolist() == [oracles.dist(ds.point(k).coords, center) for k in keys.tolist()]
+        assert ball_ids(ds, center, radius) == oracles.brute_range_ids(pairs, center, radius)
 
 
 def test_index_matches_brute_force_large(rng):
     ds = random_dataset(rng, 10_000, clustered=False, spread=100.0)
     pairs = as_pairs(ds)
-    # Keys in shuffled row order: answers must still come back ascending.
-    keys = rng.permutation(3 * len(ds))[:len(ds)]
-    idx = BallIndex(ds.coords, keys)
+    keys = rng.permutation(3 * len(ds))[:len(ds)]  # in shuffled row order
+    shuffled = Dataset(keys, ds.coords)
     for _ in range(10):
         center = tuple(map(float, rng.uniform(0, 100, 2)))
         radius = float(rng.uniform(0, 10))
-        got, _ = idx.query(center, radius)
-        assert (np.diff(got) > 0).all()
-        assert set(got.tolist()) == {int(keys[i]) for i in oracles.brute_range_ids(pairs, center, radius)}
+        got = ball_ids(shuffled, center, radius)
+        assert got == {int(keys[i]) for i in oracles.brute_range_ids(pairs, center, radius)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,13 +211,6 @@ def boundary_cases(draw):
     return coords, coords[i], oracles.dist(coords[j], coords[i])
 
 
-def graph_rows(idx, radius):
-    """Each row's neighbour keys from the index's graph, in stored order."""
-    indptr, cols = idx.graph(radius)
-    assert cols.dtype == np.int32 and indptr.shape == (len(idx.keys) + 1,)
-    return [idx.keys[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(idx.keys))]
-
-
 @settings(max_examples=300, deadline=None)
 @given(boundary_cases())
 def test_closed_ball_boundary_property_all_dims(case):
@@ -211,21 +219,18 @@ def test_closed_ball_boundary_property_all_dims(case):
     pairs = as_pairs(ds)
     assert ball_ids(ds, center, radius) == oracles.brute_range_ids(pairs, center, radius)
     # The graph's rows: the center's row has a point exactly on its sphere.
-    for key, row in zip(ds.ids.tolist(), graph_rows(BallIndex(ds.coords, ds.ids), radius)):
-        assert row == sorted(oracles.brute_range_ids(pairs, ds.point(key).coords, radius))
+    for (key, coords), row in zip(pairs, graph_rows(BallIndex(ds.coords, ds.ids), radius)):
+        assert row == sorted(oracles.brute_range_ids(pairs, coords, radius))
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_closed_ball_boundary_every_pair(rng, dim):
     ds = random_dataset(rng, 30, dim=dim, clustered=False)
     pairs = as_pairs(ds)
-    idx = BallIndex(ds.coords, ds.ids)
     for p in ds:
         for q in ds:
             radius = oracles.dist(q.coords, p.coords)
-            keys, _ = idx.query(p.coords, radius)
-            assert set(keys.tolist()) == oracles.brute_range_ids(pairs, p.coords, radius)
-            assert graph_rows(idx, radius)[p.id] == sorted(keys.tolist())
+            assert balls(ds, radius)[p.id] == oracles.brute_range_ids(pairs, p.coords, radius)
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -241,11 +246,12 @@ def test_graph_rows_equal_queries(rng, monkeypatch, dim):
     targets = rng.integers(0, len(ds), len(ds))
     for i in range(0, len(ds), 2):
         per_row[i] = oracles.dist(idx.coords[i], idx.coords[targets[i]])
+    pairs = list(zip(idx.keys.tolist(), idx.coords.tolist()))
     for radius in (0.0, 0.8, 2.5, 40.0, per_row):
         rows = graph_rows(idx, radius)
-        for i, row in enumerate(rows):
-            assert row == idx.query(idx.coords[i], np.broadcast_to(radius, len(rows))[i])[0].tolist()
-            assert idx.keys[i] in row
+        for (key, coords), row, r in zip(pairs, rows, np.broadcast_to(radius, len(rows))):
+            assert row == sorted(oracles.brute_range_ids(pairs, coords, r))
+            assert key in row
     for i in range(0, len(ds), 2):
         assert idx.keys[targets[i]] in graph_rows(idx, per_row)[i]
 

@@ -400,7 +400,8 @@ def test_config_validation():
         tiny_config(epsilon=float("nan"))
 
 
-@pytest.mark.parametrize("field,value", [("n_sites", 2.5), ("n_sites", True), ("min_pts", 2.5)])
+@pytest.mark.parametrize("field,value", [("n_sites", 2.5), ("n_sites", True), ("min_pts", 2.5),
+                                         ("seed", 2.5), ("seed", True), ("seed", -1)])
 def test_config_counts_must_be_integers(field, value):
     # Caught when the config is built, not by `range` after the reference is clustered.
     with pytest.raises(InputError, match=f"{field} must be an integer"):

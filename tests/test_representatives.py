@@ -6,17 +6,7 @@ import pytest
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import (
-    BallIndex,
-    Dataset,
-    InputError,
-    Point,
-    SelectionState,
-    StopCriterion,
-    covering_stats,
-    dyn_rep_q,
-    stat_rep_q,
-)
+from distclust import Dataset, InputError, SelectionState, StopCriterion
 from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import partition
 from distclust.representatives import RESCORE_BATCH, read_records_jsonl, write_records_jsonl
@@ -27,12 +17,16 @@ def run_selection(ds, eps, stop, site=0):
     return list(state.run(stop)), state
 
 
+def stat_rep_q(ds, eps):
+    """Every object's static representation quality by id: the scores before any pick."""
+    return SelectionState(ds, eps).candidate_scores()
+
+
 # ---------------------------------------------------------------- stat_rep_q
 
 def test_stat_rep_q_isolated_point_is_epsilon():
     ds = make_dataset([(0.0, 0.0), (100.0, 100.0)])
-    idx = BallIndex(ds.coords, ds.ids)
-    assert stat_rep_q(ds.point(0), 2.0, idx) == 2.0
+    assert stat_rep_q(ds, 2.0) == {0: 2.0, 1: 2.0}
 
 
 def test_stat_rep_q_sums_margins_of_all_neighbors():
@@ -42,27 +36,21 @@ def test_stat_rep_q_sums_margins_of_all_neighbors():
     dists = [0.5, 0.8, 1.2, 1.9]
     coords = [(0.0, 0.0)] + [(d, 0.0) for d in dists]
     ds = make_dataset(coords)
-    idx = BallIndex(ds.coords, ds.ids)
     expected = sum(eps - d for d in dists) + eps
-    assert stat_rep_q(ds.point(0), eps, idx) == pytest.approx(expected, rel=1e-12)
+    assert stat_rep_q(ds, eps)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_stat_rep_q_matches_brute_force(rng):
     ds = random_dataset(rng, 100)
     span = ds.coords.max(axis=0) - ds.coords.min(axis=0)
     eps = 0.2 * float(np.sqrt((span * span).sum()))
-    idx = BallIndex(ds.coords, ds.ids)
     pairs = as_pairs(ds)
-    for p in ds:
-        expected = oracles.stat_rep_q_brute(pairs, p.id, eps)
-        assert stat_rep_q(p, eps, idx) == pytest.approx(expected, rel=1e-9)
+    assert stat_rep_q(ds, eps) == {pid: oracles.stat_rep_q_brute(pairs, pid, eps) for pid, _ in pairs}
 
 
 def test_stat_rep_q_rejects_bad_epsilon():
     ds = make_dataset([(0.0, 0.0)])
     for eps in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InputError):
-            stat_rep_q(ds.point(0), eps, BallIndex(ds.coords, ds.ids))
         with pytest.raises(InputError):
             SelectionState(ds, eps)
 
@@ -72,22 +60,22 @@ def test_stat_rep_q_rejects_bad_epsilon():
 def test_dyn_rep_q_equals_stat_when_nothing_chosen(rng):
     ds = random_dataset(rng, 60)
     eps = 1.5
-    state = SelectionState(ds, eps)
-    for p in ds:
-        assert dyn_rep_q(p, eps, state) == stat_rep_q(p, eps, state.index)
+    pairs = as_pairs(ds)
+    scores = SelectionState(ds, eps).candidate_scores()
+    assert scores == {pid: oracles.dyn_rep_q_brute(pairs, pid, eps, []) for pid, _ in pairs}
+    assert scores == {pid: oracles.stat_rep_q_brute(pairs, pid, eps) for pid, _ in pairs}
 
 
 def test_dyn_rep_q_drops_when_neighbors_get_covered():
-    # B has neighbors at 0.5, 0.8, 0.9; a representative away from B covers
-    # the two far ones, leaving B with its 0.5-neighbor and its own term.
+    # B (id 0) has neighbors at 0.5, 0.8, 0.9; the first pick, in the group around
+    # x = 1.7, covers the two far ones, leaving B its 0.5-neighbor and its own term.
     eps = 1.0
-    ds = make_dataset([(0.0, 0.0), (-0.5, 0.0), (0.9, 0.0), (0.8, 0.0), (1.7, 0.0)])
+    ds = make_dataset([(0.0, 0.0), (-0.5, 0.0), (0.9, 0.0), (0.8, 0.0), (1.7, 0.0), (1.75, 0.0), (1.65, 0.0)])
     state = SelectionState(ds, eps)
-    b = ds.point(0)
-    assert dyn_rep_q(b, eps, state) == pytest.approx((1 - 0.5) + (1 - 0.8) + (1 - 0.9) + 1.0)
-    covering_stats(ds.point(4), state)  # covers ids 2, 3, 4
-    assert state.covered == {2, 3, 4}
-    assert dyn_rep_q(b, eps, state) == pytest.approx((1 - 0.5) + 1.0)
+    assert state.candidate_scores()[0] == pytest.approx((1 - 0.5) + (1 - 0.8) + (1 - 0.9) + 1.0)
+    list(state.run(StopCriterion.size(1)))
+    assert state.covered == {2, 3, 4, 5, 6}
+    assert state.candidate_scores()[0] == pytest.approx((1 - 0.5) + 1.0)
 
 
 def test_dyn_rep_q_matches_recompute_after_picks(rng):
@@ -96,11 +84,8 @@ def test_dyn_rep_q_matches_recompute_after_picks(rng):
     records, state = run_selection(ds, eps, StopCriterion.size(5))
     chosen_ids = [r.point.id for r in records]
     pairs = as_pairs(ds)
-    for p in ds:
-        if p.id in chosen_ids:
-            continue
-        expected = oracles.dyn_rep_q_brute(pairs, p.id, eps, chosen_ids)
-        assert dyn_rep_q(p, eps, state) == pytest.approx(expected, rel=1e-9)
+    assert state.candidate_scores() == {
+        pid: oracles.dyn_rep_q_brute(pairs, pid, eps, chosen_ids) for pid, _ in pairs if pid not in chosen_ids}
 
 
 @pytest.mark.parametrize("dim", [2, 5])
@@ -109,61 +94,47 @@ def test_scores_equal_the_loop_sums_bit_for_bit(rng, dim):
     # so the vectorized sums must agree exactly, not just approximately.
     ds = random_dataset(rng, 80, dim=dim, spread=4.0)
     eps = 1.5
-    records, state = run_selection(ds, eps, StopCriterion.size(4))
-    chosen_ids = [r.point.id for r in records]
     pairs = as_pairs(ds)
-    for p in ds:
-        assert stat_rep_q(p, eps, state.index) == oracles.stat_rep_q_brute(pairs, p.id, eps)
-        assert dyn_rep_q(p, eps, state) == oracles.dyn_rep_q_brute(pairs, p.id, eps, chosen_ids)
-
-
-def test_dyn_rep_q_reads_only_the_states_epsilon_and_objects():
-    ds = make_dataset([(0.0, 0.0), (0.5, 0.0)])
-    state = SelectionState(ds, 1.0)
-    for eps in (2.0, float("nan"), float("inf")):
-        with pytest.raises(InputError):
-            dyn_rep_q(ds.point(0), eps, state)
-    with pytest.raises(InputError):
-        dyn_rep_q(Point(7, (0.0, 0.0)), 1.0, state)
-    with pytest.raises(InputError):
-        covering_stats(Point(7, (0.0, 0.0)), state)
+    state = SelectionState(ds, eps)
+    assert state.candidate_scores() == {pid: oracles.stat_rep_q_brute(pairs, pid, eps) for pid, _ in pairs}
+    chosen_ids = [r.point.id for r in state.run(StopCriterion.size(4))]
+    assert state.candidate_scores() == {
+        pid: oracles.dyn_rep_q_brute(pairs, pid, eps, chosen_ids) for pid, _ in pairs if pid not in chosen_ids}
 
 
 @pytest.mark.parametrize("dim", [2, 5])
 def test_initial_scores_equal_stat_rep_q_bit_for_bit(rng, dim):
     # The constructor scores every row once, in batches, and must leave the very
-    # floats the per-query definition gives, or tie-breaks could flip. No score
-    # reaches 1e300, so nothing is emitted.
+    # floats the definition gives, or tie-breaks could flip. No score reaches
+    # 1e300, so nothing is emitted.
     ds = random_dataset(rng, 150, dim=dim, spread=4.0)
     ds = Dataset(ds.ids[::-1], ds.coords[::-1])  # input order unrelated to ids
+    pairs = as_pairs(ds)
     for eps in (0.4, 1.5, 3.0):
         state = SelectionState(ds, eps)
         assert list(state.run(StopCriterion.error_bound(1e300))) == []
         assert state.rows_rescored == len(ds)
-        assert state.candidate_scores() == {p.id: stat_rep_q(p, eps, state.index) for p in ds}
+        assert state.candidate_scores() == {pid: oracles.stat_rep_q_brute(pairs, pid, eps) for pid, _ in pairs}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_maintained_scores_equal_fresh_scores_bit_for_bit(rng, dim):
     # Each commit re-scores only the rows it touched; every other score must still
-    # be the very float a fresh score gives, after picks and outside commits alike.
+    # be the very float the definition gives after every pick.
     n, eps = 200, math.sqrt(dim)
     ds = Dataset(rng.permutation(n), rng.normal(0, 2, size=(n, dim)))
+    nbrs = oracles.neighbor_table(as_pairs(ds), eps)
     state = SelectionState(ds, eps)
     assert (state.rows_rescored, state.rescore_passes) == (n, math.ceil(n / RESCORE_BATCH))
 
     def check():
         chosen = {r.point.id for r in state.chosen}
-        scores = state.candidate_scores()
-        assert chosen.isdisjoint(scores)
-        assert scores == {p.id: dyn_rep_q(p, eps, state) for p in ds if p.id not in chosen}
+        covered = {q for c in chosen for q, _ in nbrs[c]}
+        assert state.candidate_scores() == oracles.def3_scores_fast(nbrs, eps, covered, set(nbrs) - chosen)
 
     check()
-    for i, _ in enumerate(state.run(StopCriterion.size(n + 3))):
+    for _ in state.run(StopCriterion.size(n + 3)):
         check()
-        if i in (2, 30, 90):
-            covering_stats(ds.point(int(rng.integers(n))), state)
-            check()
     assert len(state.chosen) == n
     assert state.candidate_scores() == {}
 
@@ -214,9 +185,7 @@ def test_collinear_middle_point_wins():
     # x = 0, 1, 2 with eps 1.5: the middle scores (1.5-1)+(1.5-1)+1.5 = 2.5,
     # the ends only 0.5 + 1.5 = 2.0.
     ds = make_dataset([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    idx = BallIndex(ds.coords, ds.ids)
-    assert stat_rep_q(ds.point(1), 1.5, idx) == 2.5
-    assert stat_rep_q(ds.point(0), 1.5, idx) == 2.0
+    assert stat_rep_q(ds, 1.5) == {0: 2.0, 1: 2.5, 2: 2.0}
     records, _ = run_selection(ds, 1.5, StopCriterion.size(1))
     assert [r.point.id for r in records] == [1]
     assert records[0].cov_cnt == 3
@@ -226,10 +195,10 @@ def test_collinear_middle_point_wins():
 def test_first_pick_attains_max_stat_rep_q(rng):
     ds = random_dataset(rng, 80)
     eps = 1.4
-    idx = BallIndex(ds.coords, ds.ids)
-    best = max(ds, key=lambda p: (stat_rep_q(p, eps, idx), -p.id))
+    pairs = as_pairs(ds)
+    best = max((pid for pid, _ in pairs), key=lambda pid: (oracles.stat_rep_q_brute(pairs, pid, eps), -pid))
     records, _ = run_selection(ds, eps, StopCriterion.size(1))
-    assert records[0].point.id == best.id
+    assert records[0].point.id == best
 
 
 def test_exact_score_ties_break_to_lowest_id():
@@ -309,9 +278,7 @@ def test_maintained_scores_match_from_scratch_each_round(rng):
     for rec in state.run(StopCriterion.size(12)):
         chosen.append(rec.point.id)
         maintained = state.candidate_scores()
-        expected = oracles.def3_scores(pairs, eps, chosen, maintained.keys())
-        for oid, score in maintained.items():
-            assert score == pytest.approx(expected[oid], rel=1e-9, abs=1e-12)
+        assert maintained == oracles.def3_scores(pairs, eps, chosen, maintained.keys())
 
 
 def test_dyn_rep_q_monotone_over_rounds(rng):
@@ -394,10 +361,9 @@ def test_generator_cancellation_stops_work(rng):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_resumed_and_interleaved_runs_match_naive_greedy(rng, dim):
-    # One state driven every way a caller may drive it: a run closed early, outside
-    # commits between runs and inside a paused run, a resumed size bound, a theta
-    # stop, then a size bound past the site. The maintained scores must outlive each
-    # run and see every commit, or a stale score is taken for an exact one.
+    # One state driven every way a caller may drive it: a run closed early, a paused
+    # and resumed size bound, a theta stop, then a size bound past the site. The
+    # maintained scores must outlive each run, or a stale score is taken for an exact one.
     ds = random_dataset(rng, 90, dim=dim, spread=4.0 + dim)
     eps = 1.3
     state, naive = SelectionState(ds, eps), oracles.NaiveGreedy(as_pairs(ds), eps)
@@ -405,21 +371,14 @@ def test_resumed_and_interleaved_runs_match_naive_greedy(rng, dim):
     def picks(records):
         return [(r.point.id, r.cov_rad, r.cov_cnt, r.seq) for r in records]
 
-    def outside_commit():
-        oid = min(set(ds.ids.tolist()) - state.covered, default=int(ds.ids.max()))
-        assert covering_stats(ds.point(oid), state)[:2] == naive.commit(oid)
-
     gen = state.run(StopCriterion.error_bound(0.0))
     first = [next(gen) for _ in range(3)]
     gen.close()
     assert picks(first) == naive.select(size_bound=3)
-    outside_commit()
     gen = state.run(StopCriterion.size(9))
     assert picks([next(gen), next(gen)]) == naive.select(size_bound=5)
-    outside_commit()
     assert picks(gen) == naive.select(size_bound=9)
     assert picks(state.run(StopCriterion.error_bound(2.0))) == naive.select(theta=2.0)
-    outside_commit()
     assert picks(state.run(StopCriterion.size(len(ds) + 5))) == naive.select(size_bound=len(ds) + 5)
     assert state.coverage_owner == naive.owner
     assert len(state.chosen) == len(ds)
@@ -452,39 +411,32 @@ def test_kind_a_site_rescores_in_fewer_passes_than_picks():
 # -------------------------------------------------------------- covering_stats
 
 def test_covering_stats_first_then_second_representative():
-    # First representative covers nine objects, the farthest defining its
-    # radius; the next one only picks up the two not yet covered.
+    # The star's center covers all ten star objects, the farthest defining its
+    # radius; the next pick only covers the far pair.
     eps = 2.0
-    ring = [(0.0, 0.0)] + [(0.25 * k, 0.0) for k in range(1, 8)] + [(0.0, 1.9)]
-    far = [(3.5, 0.0), (3.8, 0.0)]
-    ds = make_dataset(ring + far)
-    state = SelectionState(ds, eps)
-
-    cov_rad, cov_cnt, newly = covering_stats(ds.point(0), state)
-    assert cov_cnt == 9
-    assert cov_rad == max(oracles.dist(c, (0.0, 0.0)) for c in ring)
-    assert sorted(newly) == list(range(9))
-
-    cov_rad, cov_cnt, newly = covering_stats(ds.point(9), state)
-    assert cov_cnt == 2
-    assert cov_rad == oracles.dist((3.8, 0.0), (3.5, 0.0))
-    assert sorted(newly) == [9, 10]
+    star = [(0.0, 0.0)] + [(s * 0.25 * k, 0.0) for s in (1, -1) for k in range(1, 5)] + [(0.0, 1.9)]
+    far = [(5.0, 0.0), (5.3, 0.0)]
+    ds = make_dataset(star + far)
+    records, state = run_selection(ds, eps, StopCriterion.size(2))
+    assert [(r.point.id, r.cov_cnt) for r in records] == [(0, 10), (10, 2)]
+    assert records[0].cov_rad == max(oracles.dist(c, (0.0, 0.0)) for c in star)
+    assert records[1].cov_rad == oracles.dist((5.3, 0.0), (5.0, 0.0))
+    assert state.coverage_owner == {**dict.fromkeys(range(10), 0), 10: 1, 11: 1}
 
 
 def test_covering_stats_fully_covered_representative_is_inert():
     ds = make_dataset([(0.0, 0.0), (0.2, 0.0)])
-    state = SelectionState(ds, 1.0)
-    covering_stats(ds.point(0), state)
-    cov_rad, cov_cnt, newly = covering_stats(ds.point(1), state)
-    assert (cov_rad, cov_cnt, newly) == (0.0, 0, [])
+    records, state = run_selection(ds, 1.0, StopCriterion.size(2))
+    assert [(r.cov_rad, r.cov_cnt) for r in records] == [(0.2, 2), (0.0, 0)]
+    assert state.coverage_owner == {0: 0, 1: 0}
 
 
 def test_covering_stats_records_first_owner():
-    ds = make_dataset([(0.0, 0.0), (0.5, 0.0), (1.4, 0.0)])
-    state = SelectionState(ds, 1.0)
-    covering_stats(ds.point(0), state)   # covers 0, 1
-    covering_stats(ds.point(2), state)   # newly covers only 2
-    assert state.coverage_owner == {0: 0, 1: 0, 2: 1}
+    # Id 0 covers 0, 1 and 2; id 3's ball also holds 1, but it newly covers only 3.
+    ds = make_dataset([(0.0, 0.0), (0.5, 0.0), (-0.3, 0.0), (1.4, 0.0)])
+    records, state = run_selection(ds, 1.0, StopCriterion.size(2))
+    assert [(r.point.id, r.cov_cnt) for r in records] == [(0, 3), (3, 1)]
+    assert state.coverage_owner == {0: 0, 1: 0, 2: 0, 3: 1}
 
 
 # -------------------------------------------------------------- stop criteria
