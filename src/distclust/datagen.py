@@ -12,6 +12,7 @@ experiment harness live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -22,6 +23,9 @@ from .geometry import Dataset, check_count
 Bounds = tuple[tuple[float, float], ...]
 
 _DEFAULT_BOUNDS: Bounds = ((0.0, 100.0), (0.0, 100.0))
+
+CENTER_DRAW_LIMIT = 10_000  # uniform draws `_place_centers` may spend before it gives up
+FIRST_DRAW_CHUNK = 16  # draws in its first batch; each later batch doubles, up to the limit
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,14 @@ class DatasetSpec:
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise InputError(f"noise_fraction must be in [0, 1], got {self.noise_fraction}")
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise InputError(f"bad bounds {self.bounds}")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise InputError(f"bad bounds {self.bounds}: each axis needs finite lo < hi")
+        if len(self.sigma_range) != 2 or not 0.0 <= self.sigma_range[0] <= self.sigma_range[1] < math.inf:
+            raise InputError(f"sigma_range must be two finite numbers with 0 <= low <= high, "
+                             f"got {self.sigma_range}")
+        if not 0.0 <= self.min_center_separation < math.inf:
+            raise InputError(f"min_center_separation must be finite and >= 0, "
+                             f"got {self.min_center_separation}")
 
 
 # Shipped dataset kinds. Cardinalities are fixed; the geometry knobs were
@@ -76,21 +86,51 @@ def dataset_spec(kind: str, seed: int, **overrides) -> DatasetSpec:
 
 
 def _place_centers(rng: np.random.Generator, spec: DatasetSpec) -> np.ndarray:
+    """Rejection-sample `spec.n_clusters` centres at least `min_center_separation` apart.
+
+    Same stream: the centres, and the state `rng` is left in, are those of
+    drawing one centre at a time and keeping a draw when `np.linalg.norm` puts
+    it that far from every centre kept before it. Draws come in batches of
+    doubling size; each draw's distance to its nearest kept centre, as a vector,
+    screens them with a relative slack of 1e-9, so only draws that could pass
+    meet that exact test. Then the generator is rewound and exactly the draws
+    used are taken again, so the blob and noise draws that follow read the same
+    stream. Raises InputError when `CENTER_DRAW_LIMIT` draws do not place them all.
+    """
     lows = np.array([lo for lo, _ in spec.bounds])
     highs = np.array([hi for _, hi in spec.bounds])
     margin = np.minimum(3.0 * spec.sigma_range[1], (highs - lows) / 4.0)
+    low, high = lows + margin, highs - margin
+    sep = spec.min_center_separation
+    start = rng.bit_generator.state
     centers: list[np.ndarray] = []
-    attempts = 0
-    while len(centers) < spec.n_clusters:
-        c = rng.uniform(lows + margin, highs - margin)
-        if all(np.linalg.norm(c - other) >= spec.min_center_separation for other in centers):
-            centers.append(c)
-        attempts += 1
-        if attempts > 10_000:
-            raise InputError(
-                f"cannot place {spec.n_clusters} centers {spec.min_center_separation} apart "
-                f"within {spec.bounds}"
-            )
+    used, chunk = 0, FIRST_DRAW_CHUNK
+    while len(centers) < spec.n_clusters and used < CENTER_DRAW_LIMIT:
+        draws = rng.uniform(low, high, size=(min(chunk, CENTER_DRAW_LIMIT - used), len(low)))
+        nearest = np.full(len(draws), np.inf)
+        for c in centers:
+            np.minimum(nearest, np.linalg.norm(draws - c, axis=1), out=nearest)
+        i = 0  # draws of this batch decided so far
+        while len(centers) < spec.n_clusters:
+            passing = np.flatnonzero(nearest[i:] >= sep * (1.0 - 1e-9))
+            if not passing.size:
+                i = len(draws)
+                break
+            i += int(passing[0])
+            c = draws[i]
+            i += 1
+            if all(np.linalg.norm(c - other) >= sep for other in centers):
+                centers.append(c)
+                np.minimum(nearest, np.linalg.norm(draws - c, axis=1), out=nearest)
+        used += i
+        chunk *= 2
+    if len(centers) < spec.n_clusters:
+        raise InputError(
+            f"cannot place {spec.n_clusters} centers {spec.min_center_separation} apart "
+            f"within {spec.bounds}"
+        )
+    rng.bit_generator.state = start
+    rng.uniform(low, high, size=(used, len(low)))
     return np.array(centers) if centers else np.empty((0, len(spec.bounds)))
 
 

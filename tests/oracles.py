@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from distclust import InputError
+
 
 def dist(a, b) -> float:
     s = 0.0
@@ -25,6 +29,27 @@ def dist(a, b) -> float:
 def brute_range_ids(points, center_coords, radius) -> set[int]:
     """Linear-scan closed-ball query."""
     return {pid for pid, c in points if dist(c, center_coords) <= radius}
+
+
+def place_centers_one_at_a_time(rng, spec, limit=10_000):
+    """Blob centres drawn one at a time, each kept when it is `min_center_separation`
+    from every centre kept before it; gives up on draw `limit` + 1."""
+    lows = np.array([lo for lo, _ in spec.bounds])
+    highs = np.array([hi for _, hi in spec.bounds])
+    margin = np.minimum(3.0 * spec.sigma_range[1], (highs - lows) / 4.0)
+    centers: list[np.ndarray] = []
+    attempts = 0
+    while len(centers) < spec.n_clusters:
+        c = rng.uniform(lows + margin, highs - margin)
+        if all(np.linalg.norm(c - other) >= spec.min_center_separation for other in centers):
+            centers.append(c)
+        attempts += 1
+        if attempts > limit:
+            raise InputError(
+                f"cannot place {spec.n_clusters} centers {spec.min_center_separation} apart "
+                f"within {spec.bounds}"
+            )
+    return np.array(centers) if centers else np.empty((0, len(spec.bounds)))
 
 
 def stat_rep_q_brute(points, oid, eps) -> float:

@@ -12,7 +12,10 @@ from distclust import (
     InputError,
     Point,
     RepresentativeRecord,
+    SelectionState,
+    StopCriterion,
     global_dbscan,
+    merge_streams,
     reference_dbscan,
 )
 from distclust import BallIndex, clustering, geometry
@@ -277,6 +280,31 @@ def test_global_matches_literal_transcription_5d(rng):
             cov_rad[i] = max(0.0, oracles.dist(coords[i], coords[j]) - eps)
         cov_cnt = rng.integers(0, 6, size=m)
         assert_literal_weighted(coords, cov_rad, cov_cnt, GlobalParams(eps, int(rng.integers(2, 12))))
+
+
+def test_zero_count_core_record_carries_its_witness_into_the_cluster():
+    # A zero-count record is not inert. Site 1's (1, 1) at 1.0 has a witness,
+    # (1, 0) at 1.5 with cov_rad 0.5, yet it is core (it reaches both sites'
+    # positive counts) and its expansion is what pulls (1, 0) into cluster 1.
+    # Emptying the zero-count rows leaves (1, 0) a cluster of its own.
+    eps, params = 1.0, GlobalParams(1.0, 2)
+    streams = [list(SelectionState(make_dataset(coords), eps, site=site).run(StopCriterion.size(2)))
+               for site, coords in ((0, [(0.0,), (0.0,)]), (1, [(1.5,), (1.0,)]))]
+    assert [(r.point.coords, r.cov_rad, r.cov_cnt) for r in streams[0] + streams[1]] == [
+        ((0.0,), 0.0, 2), ((0.0,), 0.0, 0), ((1.5,), 0.5, 2), ((1.0,), 0.0, 0)]
+    for order in ("interleave", "concat"):
+        merged = merge_streams(streams, order)
+        labels = global_dbscan(merged, params).labels
+        assert list(labels.values()) == [1, 1, 1, 1]
+        assert [labels[r.key] for r in merged] == oracles.literal_weighted_dbscan(
+            [(r.point.coords, r.cov_rad, r.cov_cnt) for r in merged], eps, params.min_pts)
+        indptr, cols = BallIndex(np.array([r.point.coords for r in merged])).graph(
+            eps + np.array([r.cov_rad for r in merged]))
+        counts = np.array([r.cov_cnt for r in merged])
+        rows = [cols[indptr[i]:indptr[i + 1]] if counts[i] else cols[:0] for i in range(len(merged))]
+        emptied = clustering._expand(np.cumsum([0] + [len(row) for row in rows]),
+                                     np.concatenate(rows), counts, params.min_pts)
+        assert emptied[[r.key for r in merged].index((1, 0))] == 2
 
 
 # ---------------------------------------------------------- reference dbscan
