@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .clustering import NOISE
 from .errors import InputError
+from .geometry import check_count
 from .tables import write_table
 
 
@@ -43,8 +44,8 @@ class CostModel:
     bytes_per_aggregate: int = 4
 
     def __post_init__(self):
-        if self.bytes_per_object <= 0 or self.bytes_per_aggregate <= 0:
-            raise InputError("cost model byte sizes must be positive")
+        check_count(self.bytes_per_object, "bytes_per_object")
+        check_count(self.bytes_per_aggregate, "bytes_per_aggregate")
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,8 @@ def _adjusted_rand(table: np.ndarray) -> float:
 def transmission_cost(n_reps: int, n_total: int, model: CostModel) -> TransmissionCost:
     """Bytes for sending n_reps representatives (point + two aggregates each)
     versus shipping all n_total raw objects, and the resulting speedup."""
-    if not 0 <= n_reps <= n_total:
-        raise InputError(f"need 0 <= n_reps <= n_total, got {n_reps} and {n_total}")
+    check_count(n_reps, "n_reps", 0)
+    check_count(n_total, "n_total", n_reps)
     bytes_distributed = n_reps * (model.bytes_per_object + 2 * model.bytes_per_aggregate)
     bytes_full = n_total * model.bytes_per_object
     speedup = math.inf if bytes_distributed == 0 else bytes_full / bytes_distributed

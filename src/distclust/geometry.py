@@ -44,10 +44,15 @@ class Point:
         return len(self.coords)
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number; numpy floats and integers count, bools do not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_epsilon(epsilon: float) -> float:
-    """`epsilon` as a float; InputError unless it is positive and finite."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InputError(f"epsilon must be positive and finite, got {epsilon}")
+    """`epsilon` as a float; InputError unless it is a positive, finite real number."""
+    if not (is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     return float(epsilon)
 
 
@@ -91,29 +96,17 @@ class Dataset:
 
 
 class BallIndex:
-    """Closed-ball range queries over an (n, d) coordinate array.
+    """Closed-ball range queries over an (n, d) coordinate array; row i is position i of it,
+    and answers name rows by ascending position. Immutable once built (it keeps its own copy
+    of `coords`) and safe for concurrent read-only queries."""
 
-    Immutable once built and safe for concurrent read-only queries. Each row
-    carries a distinct integer key (default: its row position); rows are kept
-    in key order (`keys`, `coords`), so answers come in ascending keys and
-    score sums over a neighborhood always run in key order.
-    """
-
-    def __init__(self, coords: np.ndarray, keys: Sequence[int] | np.ndarray | None = None):
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2:
-            raise InputError(f"coordinates must be an (n, d) array, got shape {coords.shape}")
-        n, self.dim = coords.shape
-        keys = np.arange(n) if keys is None else np.asarray(keys, dtype=np.int64)
-        if keys.shape != (n,):
-            raise InputError(f"need one key per row of {n}, got keys of shape {keys.shape}")
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        if (self.keys[1:] == self.keys[:-1]).any():
-            raise InputError("index keys must be distinct")
-        self.coords = coords[order]
+    def __init__(self, coords: np.ndarray):
+        self.coords = np.array(coords, dtype=np.float64)
+        if self.coords.ndim != 2:
+            raise InputError(f"coordinates must be an (n, d) array, got shape {self.coords.shape}")
+        n, self.dim = self.coords.shape
         with np.errstate(over="ignore"):
-            if n and not np.isfinite(np.sum(np.ptp(coords, axis=0) ** 2)):
+            if n and not np.isfinite(np.sum(np.ptp(self.coords, axis=0) ** 2)):
                 raise InputError("coordinates span too far: their squared distances can overflow")
         self._tree = cKDTree(self.coords)
 
@@ -134,7 +127,7 @@ class BallIndex:
         row of the index), in blocks of about `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known):
         for each block of rows within start..stop-1, (start, stop, rows, cols), its pairs unordered."""
         radius = self._check_radius(radius)
-        rows = np.arange(len(self.keys)) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = np.arange(len(self.coords)) if rows is None else np.asarray(rows, dtype=np.intp)
         if counts is None:
             counts = self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]),
                                                  return_length=True)
@@ -157,13 +150,13 @@ class BallIndex:
         filled, sizes = 0, [[0]]
         for start, stop, rows, block in self.pair_blocks(radius, counts=counts):
             sizes.append(np.bincount(rows - start, minlength=stop - start))
-            cols[filled:filled + len(block)] = block[np.argsort(rows * len(self.keys) + block)]
+            cols[filled:filled + len(block)] = block[np.argsort(rows * len(self.coords) + block)]
             filled += len(block)
         return np.concatenate(sizes).cumsum(), cols[:filled]
 
     def _check_radius(self, radius: float | np.ndarray) -> np.ndarray:
         # One radius per row; an infinite one would ask for all n * n pairs.
-        n, radius = len(self.keys), np.asarray(radius, dtype=np.float64)
+        n, radius = len(self.coords), np.asarray(radius, dtype=np.float64)
         if radius.shape not in ((), (n,)) or not np.all((0 <= radius) & (radius < math.inf)):
             raise InputError(f"need one finite, non-negative radius or one per row of {n}, got {radius}")
         return np.broadcast_to(radius, (n,))

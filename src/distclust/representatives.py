@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon
+from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon, is_real
 from .tables import read_text
 
 RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
@@ -57,10 +57,11 @@ class StopCriterion:
             raise InputError("exactly one stop-criterion variant must be set")
         if self.max_count is not None:
             check_count(self.max_count, "size bound")
-        if self.max_fraction is not None and not 0.0 < self.max_fraction <= 1.0:
-            raise InputError("fraction bound must be in (0, 1]")
-        if self.theta is not None and not (math.isfinite(self.theta) and self.theta >= 0):
-            raise InputError(f"theta must be finite and >= 0, got {self.theta}")
+        frac, theta = self.max_fraction, self.theta
+        if frac is not None and not (is_real(frac) and 0.0 < frac <= 1.0):
+            raise InputError(f"fraction bound must be a number in (0, 1], got {frac!r}")
+        if theta is not None and not (is_real(theta) and math.isfinite(theta) and theta >= 0):
+            raise InputError(f"theta must be a finite number >= 0, got {theta!r}")
 
     @classmethod
     def size(cls, count: int) -> "StopCriterion":
@@ -84,9 +85,9 @@ class StopCriterion:
 
 
 class SelectionState:
-    """Mutable state of one site's greedy selection. The site's closed
-    epsilon-balls are built once, as `BallIndex.graph` rows of int32 positions;
-    a score reads a row and its covered flags and recomputes the distances.
+    """Mutable state of one site's greedy selection, its objects in id order (`ids`) whatever
+    the dataset's row order. Their closed epsilon-balls are built once, as `BallIndex.graph` rows
+    of int32 positions; a score reads a row and its covered flags and recomputes the distances.
 
     `_score` holds every candidate's exact dynamic quality, positions in id
     order, and -inf for an object `run` has already picked. The constructor
@@ -101,7 +102,8 @@ class SelectionState:
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
         self.epsilon = check_epsilon(epsilon)
         self.site = int(site)
-        self.index = BallIndex(dataset.coords, dataset.ids)
+        order = np.argsort(dataset.ids)  # scores sum in id order, and ties go to the lower id
+        self.ids, self.index = dataset.ids[order], BallIndex(dataset.coords[order])
         self._indptr, self._cols = self.index.graph(self.epsilon)
         self._sizes = np.diff(self._indptr)
         self._covered = np.zeros(len(dataset), dtype=bool)
@@ -147,13 +149,13 @@ class SelectionState:
         self._covered[cols] = True
         touched = np.unique(self._entries(cols)[1])
         self._rescore(touched[self._score[touched] > -math.inf])
-        self.coverage_owner.update(dict.fromkeys(self.index.keys[cols].tolist(), seq))
+        self.coverage_owner.update(dict.fromkeys(self.ids[cols].tolist(), seq))
         return float(self.index.distances(cols, self.index.coords[pos]).max()), len(cols)
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""
         live = np.flatnonzero(self._score > -math.inf)
-        return dict(zip(self.index.keys[live].tolist(), self._score[live].tolist()))
+        return dict(zip(self.ids[live].tolist(), self._score[live].tolist()))
 
     def run(self, stop: StopCriterion) -> Iterator[RepresentativeRecord]:
         """Greedy selection; yields records best-first, one per round.
@@ -167,7 +169,7 @@ class SelectionState:
             if stop.theta is not None and self._score[pos] <= stop.theta:
                 return  # not emitted; it stays a candidate
             self._score[pos] = -math.inf
-            rep = Point(int(self.index.keys[pos]), self.index.coords[pos].tolist())
+            rep = Point(int(self.ids[pos]), self.index.coords[pos].tolist())
             seq = len(self.chosen)
             self.chosen.append(RepresentativeRecord(rep, *self._commit(pos, seq), self.site, seq))
             yield self.chosen[-1]

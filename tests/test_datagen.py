@@ -59,8 +59,9 @@ def test_pure_noise_dataset():
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(InputError):
-        DatasetSpec(noise_fraction=1.5)
+    for noise_fraction in (1.5, True, "0.5"):
+        with pytest.raises(InputError, match="noise_fraction"):
+            DatasetSpec(noise_fraction=noise_fraction)
     with pytest.raises(InputError):
         DatasetSpec(n_points=0)
     with pytest.raises(InputError):
@@ -81,6 +82,9 @@ def test_invalid_specs_rejected():
     for axis in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(InputError, match="bounds"):
             DatasetSpec(bounds=(axis, (0.0, 1.0)))
+    for bounds in ((), ((0.0,),), ((0.0, 1.0, 2.0),), (("a", "b"),)):
+        with pytest.raises(InputError, match="bounds"):
+            DatasetSpec(bounds=bounds)
     for separation in (math.nan, math.inf, -1.0):
         for n_clusters in (1, 2):
             with pytest.raises(InputError, match="min_center_separation"):

@@ -170,6 +170,13 @@ def test_cost_validation():
         transmission_cost(5, 3, CostModel(bytes_per_object=10))
     with pytest.raises(InputError):
         CostModel(bytes_per_object=0)
+    for sizes in ((math.nan,), (2.5,), (math.inf,), (True, True), (100, 4.0)):
+        with pytest.raises(InputError, match="bytes_per"):
+            CostModel(*sizes)
+    with pytest.raises(InputError, match="n_reps"):
+        transmission_cost(2.5, 10, CostModel())
+    with pytest.raises(InputError, match="n_total"):
+        transmission_cost(2, 10.0, CostModel())
 
 
 # --------------------------------------------------------------------- report

@@ -69,19 +69,20 @@ def test_dataset_builds_points_from_rows():
     assert ds.ids.dtype == np.int64 and ds.coords.dtype == np.float64
 
 
-def graph_rows(idx, radius):
-    """Each row's neighbour keys from the index's graph, in stored order."""
+def graph_rows(idx, radius, ids):
+    """Each row's neighbours from the index's graph, in stored order, as ids:
+    position i names ids[i]."""
     indptr, cols = idx.graph(radius)
-    assert cols.dtype == np.int32 and indptr.shape == (len(idx.keys) + 1,)
-    return [idx.keys[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(idx.keys))]
+    assert cols.dtype == np.int32 and indptr.shape == (len(ids) + 1,)
+    return [ids[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(ids))]
 
 
 def balls(ds, radius):
     """Each object's closed ball as a set of ids, by id, from the graph; the
     index's `pair_blocks` must give the same pairs."""
-    idx = BallIndex(ds.coords, ds.ids)
-    rows = dict(zip(idx.keys.tolist(), map(set, graph_rows(idx, radius))))
-    blocks = [(idx.keys[r].tolist(), idx.keys[c].tolist()) for _, _, r, c in idx.pair_blocks(radius)]
+    idx = BallIndex(ds.coords)
+    rows = dict(zip(ds.ids.tolist(), map(set, graph_rows(idx, radius, ds.ids))))
+    blocks = [(ds.ids[r].tolist(), ds.ids[c].tolist()) for _, _, r, c in idx.pair_blocks(radius)]
     pairs = {pair for r, c in blocks for pair in zip(r, c)}
     assert pairs == {(a, b) for a, row in rows.items() for b in row}
     return rows
@@ -89,11 +90,10 @@ def balls(ds, radius):
 
 def ball_ids(ds, center, radius):
     """Ids in the closed ball around any `center`: the `pair_blocks` row of one
-    more object, placed at `center`, less that object."""
-    extra = int(ds.ids.max(initial=-1)) + 1
-    idx = BallIndex(np.vstack([ds.coords, [center]]), [*ds.ids.tolist(), extra])
+    more row, placed at `center` after the dataset's, less that row."""
+    idx = BallIndex(np.vstack([ds.coords, [center]]))
     blocks = idx.pair_blocks(radius, np.array([len(ds)]))
-    return set().union(*(idx.keys[cols].tolist() for _, _, _, cols in blocks)) - {extra}
+    return set().union(*(ds.ids[cols[cols < len(ds)]].tolist() for _, _, _, cols in blocks))
 
 
 def test_duplicate_coordinates_are_distinct_objects():
@@ -123,12 +123,7 @@ def test_range_query_boundary_is_inclusive():
     assert balls(ds, 4.999999) == {0: {0}, 1: {1}}
 
 
-def test_index_rejects_bad_keys():
-    coords = np.zeros((3, 2))
-    with pytest.raises(InputError):
-        BallIndex(coords, [4, 1, 4])
-    with pytest.raises(InputError):
-        BallIndex(coords, [0, 1])
+def test_index_rejects_coordinates_that_are_not_rows():
     with pytest.raises(InputError):
         BallIndex(np.zeros(3))
 
@@ -145,14 +140,13 @@ def test_index_takes_spans_whose_squared_distances_stay_finite():
     assert idx.graph(1.0)[1].tolist() == [0, 1]
 
 
-def test_query_answers_keys_ascending_with_their_distances():
+def test_graph_answers_positions_ascending_with_their_distances():
     coords = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
-    idx = BallIndex(coords, [7, 30, 2, 5])
+    idx = BallIndex(coords)
     indptr, cols = idx.graph(5.0)
-    row = cols[indptr[3]:indptr[4]]  # key 30, at the origin
-    assert idx.keys[row].tolist() == [2, 7, 30]
-    assert idx.distances(row, idx.coords[3]).tolist() == [1.0, 5.0, 0.0]
-    assert graph_rows(BallIndex(coords), 5.0)[1] == [0, 1, 2]
+    row = cols[indptr[1]:indptr[2]]  # position 1, at the origin
+    assert row.tolist() == [0, 1, 2]
+    assert idx.distances(row, idx.coords[1]).tolist() == [5.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -219,7 +213,7 @@ def test_closed_ball_boundary_property_all_dims(case):
     pairs = as_pairs(ds)
     assert ball_ids(ds, center, radius) == oracles.brute_range_ids(pairs, center, radius)
     # The graph's rows: the center's row has a point exactly on its sphere.
-    for (key, coords), row in zip(pairs, graph_rows(BallIndex(ds.coords, ds.ids), radius)):
+    for (key, coords), row in zip(pairs, graph_rows(BallIndex(ds.coords), radius, ds.ids)):
         assert row == sorted(oracles.brute_range_ids(pairs, coords, radius))
 
 
@@ -235,25 +229,23 @@ def test_closed_ball_boundary_every_pair(rng, dim):
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_graph_rows_equal_queries(rng, monkeypatch, dim):
-    # Small blocks, so rows straddle block boundaries; shuffled keys, so
-    # stored order differs from input order.
+    # Small blocks, so rows straddle block boundaries.
     monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 7)
     ds = random_dataset(rng, 60, dim=dim)
-    keys = rng.permutation(3 * len(ds))[:len(ds)]
-    idx = BallIndex(ds.coords, keys)
+    idx = BallIndex(ds.coords)
     # One radius per row; half of them reach exactly to another row's point.
     per_row = rng.uniform(0, 3, len(ds))
     targets = rng.integers(0, len(ds), len(ds))
     for i in range(0, len(ds), 2):
         per_row[i] = oracles.dist(idx.coords[i], idx.coords[targets[i]])
-    pairs = list(zip(idx.keys.tolist(), idx.coords.tolist()))
+    pairs = as_pairs(ds)
     for radius in (0.0, 0.8, 2.5, 40.0, per_row):
-        rows = graph_rows(idx, radius)
+        rows = graph_rows(idx, radius, ds.ids)
         for (key, coords), row, r in zip(pairs, rows, np.broadcast_to(radius, len(rows))):
             assert row == sorted(oracles.brute_range_ids(pairs, coords, r))
             assert key in row
     for i in range(0, len(ds), 2):
-        assert idx.keys[targets[i]] in graph_rows(idx, per_row)[i]
+        assert ds.ids[targets[i]] in graph_rows(idx, per_row, ds.ids)[i]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -279,7 +271,8 @@ def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypat
 def test_graph_of_empty_and_single_point_sets():
     indptr, cols = BallIndex(np.empty((0, 3))).graph(1.0)
     assert indptr.tolist() == [0] and cols.tolist() == []
-    assert graph_rows(BallIndex([[2.0, 3.0]], [9]), 1.0) == [[9]]
+    indptr, cols = BallIndex([[2.0, 3.0]]).graph(1.0)
+    assert indptr.tolist() == [0, 1] and cols.tolist() == [0]
 
 
 @pytest.mark.parametrize("radius", [

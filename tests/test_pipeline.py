@@ -215,6 +215,9 @@ def test_worker_error_crosses_the_process_boundary():
         run_pipeline(tiny_config(epsilon=0.0, concurrent=True))
     with pytest.raises(InputError, match="epsilon must be positive and finite"):
         run_pipeline(tiny_config(epsilon=float("inf"), concurrent=True))
+    for epsilon in (True, "2"):
+        with pytest.raises(InputError, match="epsilon must be positive and finite"):
+            run_pipeline(tiny_config(epsilon=epsilon))
     assert multiprocessing.active_children() == []
 
 

@@ -269,6 +269,26 @@ def test_selection_matches_naive_greedy_in_other_dims(rng, dim, stop):
         assert state.coverage_owner == expected_owner
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_selection_does_not_depend_on_row_order(rng, dim):
+    # A site is visited in id order, so listing its rows in another order changes
+    # no record, owner, score or count of work. The copies at equal coordinates tie.
+    base = random_dataset(rng, 120, dim=dim, spread=3.0 + dim)
+    coords = np.vstack([base.coords, base.coords[:15]])
+    ds = Dataset(rng.permutation(3 * len(coords))[:len(coords)], coords)
+    rows = rng.permutation(len(ds))
+    shuffled = Dataset(ds.ids[rows], ds.coords[rows])
+    eps = 0.4 * dim + 0.3
+    theta = float(np.median(list(SelectionState(ds, eps).candidate_scores().values())))
+    for stop in (StopCriterion.size(40), StopCriterion.error_bound(theta)):
+        (records, state), (got, shuffled_state) = (run_selection(d, eps, stop, site=2) for d in (ds, shuffled))
+        assert got == records
+        assert shuffled_state.coverage_owner == state.coverage_owner
+        assert list(shuffled_state.candidate_scores().items()) == list(state.candidate_scores().items())
+        assert (shuffled_state.rows_rescored, shuffled_state.rescore_passes) == (
+            state.rows_rescored, state.rescore_passes)
+
+
 def test_maintained_scores_match_from_scratch_each_round(rng):
     ds = random_dataset(rng, 60)
     eps = 1.5
@@ -456,8 +476,14 @@ def test_stop_criterion_validation():
         StopCriterion.fraction(0.0)
     with pytest.raises(InputError):
         StopCriterion.fraction(1.5)
+    for frac in (True, "0.5"):
+        with pytest.raises(InputError, match="fraction bound"):
+            StopCriterion.fraction(frac)
     with pytest.raises(InputError):
         StopCriterion.error_bound(-1.0)
+    for theta in (True, False, "1"):
+        with pytest.raises(InputError, match="theta"):
+            StopCriterion.error_bound(theta)
     for theta in (float("nan"), float("inf")):
         with pytest.raises(InputError, match="finite"):
             StopCriterion.error_bound(theta)
