@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, check_count, check_epsilon
+from .geometry import GRAPH_BLOCK_PAIRS, BallIndex, Dataset, check_count, check_epsilon
 from .representatives import RepresentativeRecord
 from .tables import read_int_table, write_table
 
@@ -92,7 +92,7 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     if (cov_rad < 0).any() or not np.isfinite(cov_rad).all():
         raise InputError("coverage radii must be non-negative and finite")
     coords = np.array([r.point.coords for r in records], dtype=np.float64)
-    indptr, cols = BallIndex(coords).graph(params.epsilon + cov_rad)
+    indptr, cols, _ = BallIndex(coords).graph(params.epsilon + cov_rad)
     labels = _expand(indptr, cols, np.array(counts, dtype=np.int64), params.min_pts)
     return GlobalLabeling({rec.key: label for rec, label in zip(records, labels)})
 
@@ -115,9 +115,8 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     core = dense.copy()
     comp = np.where(dense, name, np.arange(n))  # a core's component, named by its lowest core row so far
     loose = [(np.empty(0, np.intp),) * 2]  # the pairs of non-core rows
-    for start, stop, rows, cols in index.pair_blocks(params.epsilon, listed):
-        own, degree = np.unique(rows[~dense[rows]], return_counts=True)
-        core[own] = degree >= min_pts
+    for start, stop, rows, cols, _ in index.pair_blocks(params.epsilon, listed):
+        core[start:stop] |= np.bincount(rows - start, minlength=stop - start) >= min_pts  # dense rows stay core
         loose.append((rows[~core[rows]], cols[~core[rows]]))
         join = ((cols < stop) | dense[cols]) & core[rows] & core[cols]  # both core flags known
         comp = _merge(comp, comp[rows[join]], comp[cols[join]])
@@ -141,9 +140,13 @@ def _cells(coords: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, 
     offset = (coords - coords.min(axis=0, initial=np.inf)) / side
     if not (offset < 2**24).all():
         return np.arange(len(coords)), np.zeros(len(coords), np.intp), coords
-    grid, first, cell, size = np.unique(np.floor(offset), axis=0, return_index=True,
-                                        return_inverse=True, return_counts=True)
-    return first[cell], size[cell], (grid[cell] + 0.5) * side
+    grid = offset.astype(np.int64)  # the floor, as offsets are not negative
+    order = np.lexsort(grid.T[::-1])  # cells in lexicographic order, each led by its lowest row
+    new = np.diff(grid[order], axis=0, prepend=-1).any(axis=1)
+    cell = np.empty_like(order)
+    cell[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    return order[first][cell], np.diff(first, append=len(order))[cell], (grid + 0.5) * side
 
 
 def _join_dense_cells(index: BallIndex, comp: np.ndarray, core: np.ndarray, name: np.ndarray,
@@ -151,7 +154,7 @@ def _join_dense_cells(index: BallIndex, comp: np.ndarray, core: np.ndarray, name
     """`comp` merged where a core pair joins two dense cells no witness joined: their centres
     are within epsilon plus a diagonal (under epsilon), and all their rows' pairs are listed."""
     near = witness[cKDTree(centre[witness]).query_pairs(2 * epsilon, output_type="ndarray")]
-    for _, _, rows, cols in index.pair_blocks(epsilon, np.flatnonzero(
+    for _, _, rows, cols, _ in index.pair_blocks(epsilon, np.flatnonzero(
             np.isin(name, near[comp[near[:, 0]] != comp[near[:, 1]]]))):
         comp = _merge(comp, comp[rows[core[cols]]], comp[cols[core[cols]]])
     return comp
@@ -179,8 +182,14 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
     read at most once, as a start or off the frontier. Returns a label per
     row: NOISE or a cluster id 1..K in discovery order.
     """
-    indptr = indptr.tolist()
-    labels = [UNCLASSIFIED] * (len(indptr) - 1)
+    core = np.empty(len(indptr) - 1, dtype=bool)
+    cuts = [0, *(np.flatnonzero(np.diff(indptr[:-1] // GRAPH_BLOCK_PAIRS)) + 1).tolist(), len(core)]
+    for a, b in zip(cuts, cuts[1:]):  # rows a..b-1, about GRAPH_BLOCK_PAIRS columns at a time
+        # A row's weight sum is a difference of running int64 sums: exact, even if they wrap.
+        ends = np.concatenate(([0], np.cumsum(weight[cols[indptr[a]:indptr[b]]])))
+        core[a:b] = ends[indptr[a + 1:b + 1] - indptr[a]] - ends[indptr[a:b] - indptr[a]] >= min_pts
+    indptr, core = indptr.tolist(), core.tolist()
+    labels = [UNCLASSIFIED] * len(core)
     next_cluster = 1
     for start in range(len(labels)):
         if labels[start] != UNCLASSIFIED:
@@ -190,9 +199,8 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
         frontier = deque([start])
         while frontier:
             row = frontier.popleft()
-            nbrs = cols[indptr[row]:indptr[row + 1]]
-            if weight[nbrs].sum() >= min_pts:
-                for q in nbrs.tolist():
+            if core[row]:
+                for q in cols[indptr[row]:indptr[row + 1]].tolist():
                     if labels[q] == UNCLASSIFIED:
                         frontier.append(q)
                         labels[q] = next_cluster

@@ -47,12 +47,13 @@ class DatasetSpec:
         if not _is_bounds(self.bounds):
             raise InputError(f"bad bounds {self.bounds!r}: need one axis or more, "
                              f"each a pair of real numbers lo < hi with a finite span")
-        if len(self.sigma_range) != 2 or not 0.0 <= self.sigma_range[0] <= self.sigma_range[1] < math.inf:
+        sigma = tuple(self.sigma_range) if isinstance(self.sigma_range, (tuple, list)) else ()
+        if not (len(sigma) == 2 and all(map(is_real, sigma)) and 0.0 <= sigma[0] <= sigma[1] < math.inf):
             raise InputError(f"sigma_range must be two finite numbers with 0 <= low <= high, "
-                             f"got {self.sigma_range}")
-        if not 0.0 <= self.min_center_separation < math.inf:
+                             f"got {self.sigma_range!r}")
+        if not (is_real(self.min_center_separation) and 0.0 <= self.min_center_separation < math.inf):
             raise InputError(f"min_center_separation must be finite and >= 0, "
-                             f"got {self.min_center_separation}")
+                             f"got {self.min_center_separation!r}")
 
 
 def _is_bounds(bounds) -> bool:

@@ -1,9 +1,9 @@
 """Points, datasets, and the closed-ball range index with its Euclidean distance.
 
-Every neighborhood in the pipeline is a row's closed ball from
-`BallIndex.pair_blocks` (and so from `graph`), at one radius or one per row,
-cut by the one distance formula of `BallIndex.distances`. A point at distance
-exactly ``radius`` from the center is included, in every dimension.
+Every neighborhood in the pipeline is a row's closed ball from `BallIndex.pair_blocks` (and
+so from `graph`, which also sums each row's margins), at one radius or one per row, cut by
+the one distance formula of `BallIndex.distances`. A point at distance exactly ``radius``
+from the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -115,44 +115,50 @@ class BallIndex:
         or one per position): the square root of the squared coordinate differences
         summed left to right, column 0 first. Every closed ball is cut by this one
         formula, so membership agrees bit for bit in every dimension."""
+        diff = self.coords.take(positions, axis=0) - centers
+        diff *= diff
         square = np.zeros(len(positions))
         for k in range(self.dim):
-            diff = self.coords[positions, k] - centers[..., k]
-            square += diff * diff
+            square += diff[:, k]
         return np.sqrt(square)
 
     def pair_blocks(self, radius: float | np.ndarray, rows: np.ndarray | None = None,
-                    counts: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+                    counts: np.ndarray | None = None
+                    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
         """The closed balls of ascending positions `rows` (default: all) at `radius` (one, or one per
         row of the index), in blocks of about `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known):
-        for each block of rows within start..stop-1, (start, stop, rows, cols), its pairs unordered."""
-        radius = self._check_radius(radius)
-        rows = np.arange(len(self.coords)) if rows is None else np.asarray(rows, dtype=np.intp)
+        per block of rows in start..stop-1, (start, stop, rows, cols, distances), pairs by row, then col."""
+        radius, n = self._check_radius(radius), len(self.coords)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if counts is None:
             counts = self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]),
                                                  return_length=True)
         # A block ends where its candidates pass a multiple of the budget.
         cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // GRAPH_BLOCK_PAIRS)) + 1
         for block in np.split(rows, cuts) if len(rows) else ():
-            centers, limit = self.coords[block], radius[block]
-            found = cKDTree(centers).sparse_distance_matrix(
-                self._tree, _inflate(limit.max()), output_type="ndarray")
-            keep = self.distances(found["j"], centers.take(found["i"], axis=0)) <= limit[found["i"]]
-            yield block[0], block[-1] + 1, block[found["i"][keep]], found["j"][keep]
+            found = cKDTree(self.coords[block]).sparse_distance_matrix(
+                self._tree, _inflate(radius[block].max()), output_type="ndarray")
+            pair_rows, pair_cols = np.divmod(np.sort(block[found["i"]] * n + found["j"]), n)
+            dist = self.distances(pair_cols, self.coords.take(pair_rows, axis=0))
+            keep = dist <= radius[pair_rows]
+            yield block[0], block[-1] + 1, pair_rows[keep], pair_cols[keep], dist[keep]
 
-    def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR arrays (indptr, cols) of every row's closed ball (`radius`: one, or one per row):
-        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows of its ball."""
+        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows of its ball.
+        Third, each row's margin sum: radius - d over its ball, added from 0.0 in column order."""
         radius = self._check_radius(radius)
         # The candidate count bounds the columns, so they fill one array in place.
         counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)
         cols = np.empty(counts.sum(), np.int32)
-        filled, sizes = 0, [[0]]
-        for start, stop, rows, block in self.pair_blocks(radius, counts=counts):
-            sizes.append(np.bincount(rows - start, minlength=stop - start))
-            cols[filled:filled + len(block)] = block[np.argsort(rows * len(self.coords) + block)]
+        filled, sizes, sums = 0, [[0]], [np.zeros(0)]
+        for start, stop, rows, block, dist in self.pair_blocks(radius, counts=counts):
+            margin, rows = radius[rows] - dist, rows - start
+            sizes.append(np.bincount(rows, minlength=stop - start))
+            sums.append(np.bincount(rows, weights=margin, minlength=stop - start))
+            cols[filled:filled + len(block)] = block
             filled += len(block)
-        return np.concatenate(sizes).cumsum(), cols[:filled]
+        return np.concatenate(sizes).cumsum(), cols[:filled], np.concatenate(sums)
 
     def _check_radius(self, radius: float | np.ndarray) -> np.ndarray:
         # One radius per row; an infinite one would ask for all n * n pairs.

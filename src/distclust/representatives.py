@@ -7,7 +7,8 @@ best dynamic quality (the same sum restricted to objects not yet covered by a
 chosen representative) and emits it with two aggregates: the distance to the
 farthest newly covered object (cov_rad) and the count of newly covered objects
 (cov_cnt). The stream is best-first and can be cut off at any point. A site's
-neighborhoods all come from one closed-ball neighbour graph, built once.
+neighborhoods all come from one closed-ball neighbour graph, built once; its
+build sums the static qualities too, adding each row's terms as a re-score does.
 """
 
 from __future__ import annotations
@@ -89,14 +90,14 @@ class SelectionState:
     the dataset's row order. Their closed epsilon-balls are built once, as `BallIndex.graph` rows
     of int32 positions; a score reads a row and its covered flags and recomputes the distances.
 
-    `_score` holds every candidate's exact dynamic quality, positions in id
-    order, and -inf for an object `run` has already picked. The constructor
-    scores every row, so the first scores are the static qualities. A pick is
-    the first maximum of `_score`, so ties break toward the lower id. Each
-    commit re-scores the rows whose ball lost an uncovered object: the graph
-    is symmetric, so these are the newly covered objects' own rows. Already
-    covered objects stay candidates. Rows are scored in passes of at most
-    `RESCORE_BATCH`; `rows_rescored` and `rescore_passes` count that work.
+    `_score` holds every candidate's exact dynamic quality, positions in id order, and -inf for
+    an object `run` has already picked; the first scores, the static qualities, are the graph's
+    margin sums. A pick is the first maximum of `_score`, so ties break toward the lower id. Each
+    commit re-scores the rows whose ball lost an uncovered object: the graph is symmetric, so these
+    are the newly covered objects' own rows. Already covered objects stay candidates; once the
+    best score is 0.0 all objects are covered, and the rest go out in id order, unscored.
+    `rows_rescored` counts the rows scored, the n first scores included, and `rescore_passes`
+    the commits' passes of at most `RESCORE_BATCH` rows.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
@@ -104,15 +105,13 @@ class SelectionState:
         self.site = int(site)
         order = np.argsort(dataset.ids)  # scores sum in id order, and ties go to the lower id
         self.ids, self.index = dataset.ids[order], BallIndex(dataset.coords[order])
-        self._indptr, self._cols = self.index.graph(self.epsilon)
+        self._indptr, self._cols, self._score = self.index.graph(self.epsilon)
         self._sizes = np.diff(self._indptr)
         self._covered = np.zeros(len(dataset), dtype=bool)
-        self._score = np.empty(len(dataset))
-        self.rows_rescored = self.rescore_passes = 0
+        self.rows_rescored, self.rescore_passes = len(dataset), 0
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
         self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
-        self._rescore(np.arange(len(dataset)))
 
     def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
@@ -126,7 +125,7 @@ class SelectionState:
         # each row's uncovered terms one by one in input order, ascending id, so exact score
         # ties (and the greedy tie-breaks) are reproducible.
         row, cols = self._entries(positions)
-        keep = ~self._covered[cols]
+        keep = np.flatnonzero(~self._covered[cols])  # most entries are covered; indices gather less
         row, cols = row[keep], cols[keep]
         centers = self.index.coords.take(positions[row], axis=0)  # ~10x faster than coords[...]
         terms = self.epsilon - self.index.distances(cols, centers)
@@ -147,8 +146,9 @@ class SelectionState:
         if not len(cols):
             return 0.0, 0
         self._covered[cols] = True
-        touched = np.unique(self._entries(cols)[1])
-        self._rescore(touched[self._score[touched] > -math.inf])
+        touched = np.zeros(len(self._score), dtype=bool)
+        touched[self._entries(cols)[1]] = True
+        self._rescore(np.flatnonzero(touched & (self._score > -math.inf)))
         self.coverage_owner.update(dict.fromkeys(self.ids[cols].tolist(), seq))
         return float(self.index.distances(cols, self.index.coords[pos]).max()), len(cols)
 
@@ -163,16 +163,26 @@ class SelectionState:
         The generator computes a record only when the consumer asks for it, so
         closing it early cancels the remaining work.
         """
-        limit = stop.resolve_count(len(self._covered))
-        while len(self.chosen) < len(self._score) and (limit is None or len(self.chosen) < limit):
+        n = len(self._score)
+        limit = min(n, stop.resolve_count(n) or n)  # a count is at least 1; None means no bound
+        while len(self.chosen) < limit:
             pos = int(self._score.argmax())
             if stop.theta is not None and self._score[pos] <= stop.theta:
                 return  # not emitted; it stays a candidate
+            if self._score[pos] == 0.0:
+                # Every object is covered (an uncovered one's own row scores epsilon or more), so
+                # every live score is 0.0 and the first maximum is the lowest live position.
+                for pos in np.flatnonzero(self._score == 0.0)[:limit - len(self.chosen)].tolist():
+                    self._score[pos] = -math.inf
+                    yield self._emit(pos, 0.0, 0)
+                return
             self._score[pos] = -math.inf
-            rep = Point(int(self.ids[pos]), self.index.coords[pos].tolist())
-            seq = len(self.chosen)
-            self.chosen.append(RepresentativeRecord(rep, *self._commit(pos, seq), self.site, seq))
-            yield self.chosen[-1]
+            yield self._emit(pos, *self._commit(pos, len(self.chosen)))
+
+    def _emit(self, pos: int, cov_rad: float, cov_cnt: int) -> RepresentativeRecord:
+        rep = Point(int(self.ids[pos]), self.index.coords[pos].tolist())
+        self.chosen.append(RepresentativeRecord(rep, cov_rad, cov_cnt, self.site, len(self.chosen)))
+        return self.chosen[-1]
 
 
 def record_to_json(rec: RepresentativeRecord) -> str:

@@ -298,7 +298,7 @@ def test_zero_count_core_record_carries_its_witness_into_the_cluster():
         assert list(labels.values()) == [1, 1, 1, 1]
         assert [labels[r.key] for r in merged] == oracles.literal_weighted_dbscan(
             [(r.point.coords, r.cov_rad, r.cov_cnt) for r in merged], eps, params.min_pts)
-        indptr, cols = BallIndex(np.array([r.point.coords for r in merged])).graph(
+        indptr, cols, _ = BallIndex(np.array([r.point.coords for r in merged])).graph(
             eps + np.array([r.cov_rad for r in merged]))
         counts = np.array([r.cov_cnt for r in merged])
         rows = [cols[indptr[i]:indptr[i + 1]] if counts[i] else cols[:0] for i in range(len(merged))]
@@ -483,6 +483,35 @@ def test_reference_opposite_corners_of_a_cell(rng, dim):
         gap = BallIndex(ds.coords).distances(np.array([1]), low)[0]
         assert abs(gap - side * np.sqrt(dim)) <= 4 * dim * np.spacing(eps)
         assert assert_reference_is_literal(ds, eps, 2) == {4: 1, 9: 1}
+
+
+def unique_cells(coords, eps):
+    """`clustering._cells` as `np.unique(axis=0)` groups the floored grid offsets."""
+    side = eps / np.sqrt(coords.shape[1]) * (1 - 1e-6)
+    offset = (coords - coords.min(axis=0, initial=np.inf)) / side
+    if not (offset < 2**24).all():
+        return np.arange(len(coords)), np.zeros(len(coords), np.intp), coords
+    grid, first, cell, size = np.unique(np.floor(offset), axis=0, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    cell = cell.reshape(-1)
+    return first[cell], size[cell], (grid[cell] + 0.5) * side
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_cells_group_rows_as_unique_floored_offsets(rng, dim):
+    # Rows on cell corners at the eps that round them over eps without the margin, an axis
+    # of about 2.8e12 cells, an empty set and random sets: names, sizes and centres agree.
+    cases = [(random_dataset(rng, 300, dim=dim).coords * scale, eps)
+             for scale in (1.0, 0.2) for eps in (0.3, 1.0, 2.5)] + [(np.empty((0, dim)), 1.0)]
+    for eps in CORNERS_OVER_EPS_WITHOUT_MARGIN.get(dim, []):
+        corner = np.full(dim, eps / np.sqrt(dim) * (1 - 1e-6))
+        cases.append((np.stack([np.zeros(dim), np.nextafter(corner, 0), corner,
+                                np.nextafter(corner, np.inf), 2 * corner]), eps))
+    if dim == 2:
+        cases.append((np.array([[0.0, 0.0], [0.1, 0.0], [2e12, 0.0], [2e12 + 0.5, 0.0]]), 1.0))
+    for coords, eps in cases:
+        got, want = clustering._cells(coords, eps), unique_cells(coords, eps)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 def listed_rows(monkeypatch):

@@ -72,18 +72,19 @@ def test_dataset_builds_points_from_rows():
 def graph_rows(idx, radius, ids):
     """Each row's neighbours from the index's graph, in stored order, as ids:
     position i names ids[i]."""
-    indptr, cols = idx.graph(radius)
+    indptr, cols, _ = idx.graph(radius)
     assert cols.dtype == np.int32 and indptr.shape == (len(ids) + 1,)
     return [ids[cols[indptr[i]:indptr[i + 1]]].tolist() for i in range(len(ids))]
 
 
 def balls(ds, radius):
     """Each object's closed ball as a set of ids, by id, from the graph; the
-    index's `pair_blocks` must give the same pairs."""
+    index's `pair_blocks` must give the same pairs, with their distances."""
     idx = BallIndex(ds.coords)
     rows = dict(zip(ds.ids.tolist(), map(set, graph_rows(idx, radius, ds.ids))))
-    blocks = [(ds.ids[r].tolist(), ds.ids[c].tolist()) for _, _, r, c in idx.pair_blocks(radius)]
-    pairs = {pair for r, c in blocks for pair in zip(r, c)}
+    blocks = list(idx.pair_blocks(radius))
+    assert all(d.tolist() == idx.distances(c, idx.coords[r]).tolist() for _, _, r, c, d in blocks)
+    pairs = {pair for _, _, r, c, _ in blocks for pair in zip(ds.ids[r].tolist(), ds.ids[c].tolist())}
     assert pairs == {(a, b) for a, row in rows.items() for b in row}
     return rows
 
@@ -93,7 +94,7 @@ def ball_ids(ds, center, radius):
     more row, placed at `center` after the dataset's, less that row."""
     idx = BallIndex(np.vstack([ds.coords, [center]]))
     blocks = idx.pair_blocks(radius, np.array([len(ds)]))
-    return set().union(*(ds.ids[cols[cols < len(ds)]].tolist() for _, _, _, cols in blocks))
+    return set().union(*(ds.ids[cols[cols < len(ds)]].tolist() for _, _, _, cols, _ in blocks))
 
 
 def test_duplicate_coordinates_are_distinct_objects():
@@ -143,7 +144,7 @@ def test_index_takes_spans_whose_squared_distances_stay_finite():
 def test_graph_answers_positions_ascending_with_their_distances():
     coords = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [9.0, 9.0]])
     idx = BallIndex(coords)
-    indptr, cols = idx.graph(5.0)
+    indptr, cols, _ = idx.graph(5.0)
     row = cols[indptr[1]:indptr[2]]  # position 1, at the origin
     assert row.tolist() == [0, 1, 2]
     assert idx.distances(row, idx.coords[1]).tolist() == [5.0, 0.0, 1.0]
@@ -254,10 +255,10 @@ def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypat
     monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 7)
     idx = BallIndex(random_dataset(rng, 80, dim=dim).coords)
     for radius in (0.0, 1.5, rng.uniform(0, 3, 80)):
-        full = [(r, c) for _, _, rows, cols in idx.pair_blocks(radius) for r, c in zip(rows, cols)]
+        full = [(r, c) for _, _, rows, cols, _ in idx.pair_blocks(radius) for r, c in zip(rows, cols)]
         for subset in (np.flatnonzero(rng.random(80) < 0.3), np.array([79]), np.arange(80)):
             got, last = [], 0
-            for start, stop, rows, cols in idx.pair_blocks(radius, subset):
+            for start, stop, rows, cols, _ in idx.pair_blocks(radius, subset):
                 assert last <= start <= rows.min() and rows.max() < stop
                 assert set(subset[(start <= subset) & (subset < stop)]) == set(rows.tolist())
                 got += zip(rows, cols)
@@ -265,14 +266,27 @@ def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypat
             assert sorted(got) == sorted((r, c) for r, c in full if r in subset)
     # Every row finds itself, so a budget of one candidate pair puts each row in a block of its own.
     monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 1)
-    assert [start for start, _, _, _ in idx.pair_blocks(1.5)] == list(range(80))
+    assert [start for start, *_ in idx.pair_blocks(1.5)] == list(range(80))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_graph_margin_sums_equal_the_oracle_bit_for_bit(rng, monkeypatch, dim):
+    # Selection takes its first scores from these sums, so each must be the very float of
+    # adding radius - d over the ball from 0.0 in ascending position, block seams included.
+    monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 50)
+    ds = random_dataset(rng, 120, dim=dim, spread=4.0)
+    pairs, idx = as_pairs(ds), BallIndex(ds.coords)
+    for radius in (1.5, rng.uniform(0, 3, len(ds))):
+        per_row = np.broadcast_to(radius, len(ds)).tolist()
+        assert idx.graph(radius)[2].tolist() == [
+            oracles.stat_rep_q_brute(pairs, pid, r) for (pid, _), r in zip(pairs, per_row)]
 
 
 def test_graph_of_empty_and_single_point_sets():
-    indptr, cols = BallIndex(np.empty((0, 3))).graph(1.0)
-    assert indptr.tolist() == [0] and cols.tolist() == []
-    indptr, cols = BallIndex([[2.0, 3.0]]).graph(1.0)
-    assert indptr.tolist() == [0, 1] and cols.tolist() == [0]
+    indptr, cols, sums = BallIndex(np.empty((0, 3))).graph(1.0)
+    assert indptr.tolist() == [0] and cols.tolist() == [] and sums.tolist() == []
+    indptr, cols, sums = BallIndex([[2.0, 3.0]]).graph(1.0)
+    assert indptr.tolist() == [0, 1] and cols.tolist() == [0] and sums.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("radius", [

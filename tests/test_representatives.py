@@ -9,7 +9,7 @@ from conftest import as_pairs, make_dataset, random_dataset
 from distclust import Dataset, InputError, SelectionState, StopCriterion
 from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import partition
-from distclust.representatives import RESCORE_BATCH, read_records_jsonl, write_records_jsonl
+from distclust.representatives import read_records_jsonl, write_records_jsonl
 
 
 def run_selection(ds, eps, stop, site=0):
@@ -104,8 +104,8 @@ def test_scores_equal_the_loop_sums_bit_for_bit(rng, dim):
 
 @pytest.mark.parametrize("dim", [2, 5])
 def test_initial_scores_equal_stat_rep_q_bit_for_bit(rng, dim):
-    # The constructor scores every row once, in batches, and must leave the very
-    # floats the definition gives, or tie-breaks could flip. No score reaches
+    # The constructor takes every row's first score from the graph build, and it must
+    # be the very float the definition gives, or tie-breaks could flip. No score reaches
     # 1e300, so nothing is emitted.
     ds = random_dataset(rng, 150, dim=dim, spread=4.0)
     ds = Dataset(ds.ids[::-1], ds.coords[::-1])  # input order unrelated to ids
@@ -125,7 +125,7 @@ def test_maintained_scores_equal_fresh_scores_bit_for_bit(rng, dim):
     ds = Dataset(rng.permutation(n), rng.normal(0, 2, size=(n, dim)))
     nbrs = oracles.neighbor_table(as_pairs(ds), eps)
     state = SelectionState(ds, eps)
-    assert (state.rows_rescored, state.rescore_passes) == (n, math.ceil(n / RESCORE_BATCH))
+    assert (state.rows_rescored, state.rescore_passes) == (n, 0)  # first scores come with the graph
 
     def check():
         chosen = {r.point.id for r in state.chosen}
@@ -355,6 +355,33 @@ def test_zero_score_candidates_emitted_inert_under_size_bound():
     assert records[0].cov_cnt == 2
     assert records[1].cov_cnt == 0
     assert records[1].cov_rad == 0.0
+
+
+def test_size_bound_past_full_coverage_yields_the_rest_in_id_order(rng):
+    # Once every object is covered every score is 0.0, so greedy takes the rest by id.
+    ds = random_dataset(rng, 60)
+    ds = Dataset(rng.permutation(len(ds)), ds.coords)  # ids unrelated to row order
+    records, _ = run_selection(ds, 1.5, StopCriterion.size(len(ds) + 5))
+    first = next(i for i, r in enumerate(records) if r.cov_cnt == 0)
+    head, tail = records[:first], records[first:]
+    assert sum(r.cov_cnt for r in head) == len(ds)
+    assert [r.point.id for r in tail] == sorted(set(ds.ids.tolist()) - {r.point.id for r in head})
+    assert {(r.cov_rad, r.cov_cnt) for r in tail} == {(0.0, 0)}
+    assert [r.seq for r in records] == list(range(len(ds)))
+
+
+def test_closing_mid_tail_leaves_the_rest_candidates_at_zero(rng):
+    ds = random_dataset(rng, 60)
+    ds = Dataset(rng.permutation(len(ds)), ds.coords)
+    state = SelectionState(ds, 1.5)
+    gen = state.run(StopCriterion.size(len(ds)))
+    while next(gen).cov_cnt:
+        pass
+    next(gen)
+    gen.close()
+    rest = sorted(set(ds.ids.tolist()) - {r.point.id for r in state.chosen})
+    assert rest and state.candidate_scores() == dict.fromkeys(rest, 0.0)
+    assert [r.point.id for r in state.run(StopCriterion.size(len(ds)))] == rest
 
 
 def test_error_bound_zero_stops_before_inert_records(rng):
