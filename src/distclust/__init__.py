@@ -2,10 +2,8 @@
 
 from .clustering import (
     NOISE,
-    UNCLASSIFIED,
-    GlobalLabeling,
     GlobalParams,
-    ReferenceLabeling,
+    Labeling,
     global_dbscan,
     reference_dbscan,
 )

@@ -189,7 +189,7 @@ def cmd_pipeline(args) -> int:
     save_dataset_csv(result.dataset, outdir / "dataset.csv")
     write_records_jsonl(result.merged, outdir / "reps.jsonl")
     save_global_labels_csv(result.global_labeling, outdir / "global_labels.csv")
-    for site, labeling in result.local_labelings.items():
+    for site, labeling in enumerate(result.local_labelings):
         save_local_labels_csv(labeling, outdir / f"site_{site}_labels.csv")
     save_reference_labels_csv(result.reference, outdir / "reference_labels.csv")
     (outdir / "report.json").write_text(result.report.to_json() + "\n")

@@ -49,28 +49,17 @@ class GlobalParams:
 
 
 @dataclass
-class GlobalLabeling:
-    """Cluster ids keyed by (site, seq)."""
+class Labeling:
+    """Cluster ids keyed by (site, seq) for `global_dbscan`, by object id for `reference_dbscan`."""
 
-    labels: dict[tuple[int, int], int]
-
-    @property
-    def n_clusters(self) -> int:
-        return len({v for v in self.labels.values() if v >= 1})
-
-
-@dataclass
-class ReferenceLabeling:
-    """Cluster ids keyed by object id."""
-
-    labels: dict[int, int]
+    labels: dict[tuple[int, int] | int, int]
 
     @property
     def n_clusters(self) -> int:
         return len({v for v in self.labels.values() if v >= 1})
 
 
-def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> GlobalLabeling:
+def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> Labeling:
     """Cluster representatives in input order with per-representative enlarged
     radii and cov_cnt-weighted core tests.
 
@@ -81,8 +70,8 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     """
     records = list(reps)
     if not records:
-        return GlobalLabeling({})
-    dims = {p.point.dim for p in records}
+        return Labeling({})
+    dims = {len(r.point.coords) for r in records}
     if len(dims) != 1:
         raise InputError(f"representatives have mixed dimensions {sorted(dims)}")
     counts = [r.cov_cnt for r in records]
@@ -94,10 +83,10 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     coords = np.array([r.point.coords for r in records], dtype=np.float64)
     indptr, cols, _ = BallIndex(coords).graph(params.epsilon + cov_rad)
     labels = _expand(indptr, cols, np.array(counts, dtype=np.int64), params.min_pts)
-    return GlobalLabeling({rec.key: label for rec, label in zip(records, labels)})
+    return Labeling({rec.key: label for rec, label in zip(records, labels)})
 
 
-def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
+def reference_dbscan(ds: Dataset, params: GlobalParams) -> Labeling:
     """Textbook density-based clustering of the full dataset (closed epsilon-balls;
     a point is core when its ball, itself included, holds min_pts points), in
     the closed form of the loop that visits points in dataset order (Gan & Tao,
@@ -128,7 +117,7 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> ReferenceLabeling:
     rows, cols = rows[core[cols]], cols[core[cols]]
     labels[rows] = n  # above every cluster id, lowered to the least one reached
     np.minimum.at(labels, rows, labels[cols])
-    return ReferenceLabeling(dict(zip(ds.ids.tolist(), labels.tolist())))
+    return Labeling(dict(zip(ds.ids.tolist(), labels.tolist())))
 
 
 def _cells(coords: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,18 +200,18 @@ def _expand(indptr: np.ndarray, cols: np.ndarray, weight: np.ndarray, min_pts: i
     return labels
 
 
-def save_global_labels_csv(labeling: GlobalLabeling, path: str | Path) -> None:
+def save_global_labels_csv(labeling: Labeling, path: str | Path) -> None:
     write_table(path, GLOBAL_LABELS_HEADER,
                 ((site, seq, cid) for (site, seq), cid in sorted(labeling.labels.items())))
 
 
-def load_global_labels_csv(path: str | Path) -> GlobalLabeling:
-    return GlobalLabeling(read_int_table(path, GLOBAL_LABELS_HEADER, n_key=2))
+def load_global_labels_csv(path: str | Path) -> Labeling:
+    return Labeling(read_int_table(path, GLOBAL_LABELS_HEADER, n_key=2))
 
 
-def save_reference_labels_csv(labeling: ReferenceLabeling, path: str | Path) -> None:
+def save_reference_labels_csv(labeling: Labeling, path: str | Path) -> None:
     write_table(path, REFERENCE_LABELS_HEADER, sorted(labeling.labels.items()))
 
 
-def load_reference_labels_csv(path: str | Path) -> ReferenceLabeling:
-    return ReferenceLabeling(read_int_table(path, REFERENCE_LABELS_HEADER))
+def load_reference_labels_csv(path: str | Path) -> Labeling:
+    return Labeling(read_int_table(path, REFERENCE_LABELS_HEADER))

@@ -62,8 +62,9 @@ def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray,
         raise InputError(f"labelings cover different id sets ({len(dist.keys() - ref.keys())} extra "
                          f"distributed, {len(ref.keys() - dist.keys())} extra reference)")
     kinds = set(map(type, dist.values())) | set(map(type, ref.values()))
-    if not all(issubclass(kind, (int, np.integer)) for kind in kinds):
-        bad = next(v for v in (*dist.values(), *ref.values()) if not isinstance(v, (int, np.integer)))
+    if not all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
+        bad = next(v for v in (*dist.values(), *ref.values())
+                   if isinstance(v, bool) or not isinstance(v, (int, np.integer)))
         raise InputError(f"cluster ids must be integers, got {bad!r}")
     try:
         d = np.fromiter(dist.values(), dtype=np.int64, count=len(dist))

@@ -39,10 +39,6 @@ class Point:
         if not all(math.isfinite(c) for c in self.coords):
             raise InputError(f"point {self.id} has non-finite coordinates")
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
 
 def is_real(value) -> bool:
     """Whether `value` is a real number; numpy floats and integers count, bools do not."""

@@ -23,11 +23,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clustering import GlobalLabeling, GlobalParams, ReferenceLabeling, global_dbscan, reference_dbscan
+from .clustering import GlobalParams, Labeling, global_dbscan, reference_dbscan
 from .datagen import DatasetSpec, generate
 from .errors import InputError
 from .evaluation import CostModel, QualityReport, TransmissionCost, evaluate, transmission_cost
-from .geometry import Dataset, check_count
+from .geometry import Dataset, check_count, is_real
 from .relabel import LocalLabeling, relabel_site
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 from .tables import write_table
@@ -65,11 +65,12 @@ class ExperimentConfig:
 
 
 def budget_to_stop(budget: Budget) -> StopCriterion:
-    """A float in (0, 1] is a per-site fraction; an integer >= 1 (numpy's too) an absolute count."""
-    if isinstance(budget, float):
-        return StopCriterion.fraction(budget)
+    """An integer >= 1 is an absolute count, and any other real number in (0, 1] a per-site
+    fraction; numpy's numbers count too."""
     if isinstance(budget, numbers.Integral):
         return StopCriterion.size(budget)  # which rejects bools
+    if is_real(budget):
+        return StopCriterion.fraction(budget)
     raise InputError(f"bad budget {budget!r}")
 
 
@@ -119,10 +120,10 @@ class PipelineResult:
     sites: list[Dataset]
     site_records: list[list[RepresentativeRecord]]
     merged: list[RepresentativeRecord]
-    global_labeling: GlobalLabeling
-    local_labelings: dict[int, LocalLabeling]
+    global_labeling: Labeling
+    local_labelings: list[LocalLabeling]
     distributed: dict[int, int]
-    reference: ReferenceLabeling
+    reference: Labeling
     report: QualityReport
     cost: TransmissionCost
     site_seconds: tuple[float, ...] = ()
@@ -170,7 +171,7 @@ def _worker_context():
 
 
 def run_pipeline(cfg: ExperimentConfig, *, dataset: Dataset | None = None,
-                 reference: ReferenceLabeling | None = None) -> PipelineResult:
+                 reference: Labeling | None = None) -> PipelineResult:
     """One full distributed run at the config's first budget.
 
     Pass `dataset`/`reference` to reuse work across runs; they must match the
@@ -182,7 +183,7 @@ def run_pipeline(cfg: ExperimentConfig, *, dataset: Dataset | None = None,
 
 
 def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
-          reference: ReferenceLabeling) -> Iterator[PipelineResult]:
+          reference: Labeling) -> Iterator[PipelineResult]:
     """One run per budget, in order, from one selection per site at its largest
     count. Streams are prefix-stable: a budget of k records takes the first k,
     their owners (the rest is uncovered) and the seconds until the k-th."""
@@ -206,10 +207,10 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
         global_labeling = global_dbscan(merged, cfg.params)
         global_seconds = time.perf_counter() - t0
 
-        local_labelings = {k: relabel_site(site.ids.tolist(), owners[k], global_labeling, k)
-                           for k, site in enumerate(sites)}
+        local_labelings = [relabel_site(site.ids.tolist(), owners[k], global_labeling, k)
+                           for k, site in enumerate(sites)]
         distributed: dict[int, int] = {}
-        for labeling in local_labelings.values():
+        for labeling in local_labelings:
             distributed.update(labeling.labels)
 
         report = evaluate(distributed, reference.labels)

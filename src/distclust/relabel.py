@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .clustering import NOISE, GlobalLabeling
+from .clustering import NOISE, Labeling
 from .errors import ConsistencyError
 from .tables import read_int_table, write_table
 
@@ -30,7 +30,7 @@ class LocalLabeling:
 
 
 def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
-                 global_labeling: GlobalLabeling, site: int) -> LocalLabeling:
+                 global_labeling: Labeling, site: int) -> LocalLabeling:
     """Label every object of one site from the global clustering.
 
     coverage_owner maps object id to the seq of the representative that first

@@ -102,6 +102,7 @@ class SelectionState:
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
         self.epsilon = check_epsilon(epsilon)
+        check_count(site, "site", 0)
         self.site = int(site)
         order = np.argsort(dataset.ids)  # scores sum in id order, and ties go to the lower id
         self.ids, self.index = dataset.ids[order], BallIndex(dataset.coords[order])
@@ -140,11 +141,10 @@ class SelectionState:
 
     def _commit(self, pos: int, seq: int) -> tuple[float, int]:
         # Covers the uncovered objects of the row at `pos` for representative `seq` and re-scores
-        # the candidate rows holding them (by symmetry, their own rows). Covering nothing writes nothing.
+        # the candidate rows holding them (by symmetry, their own rows). `run` commits only a row
+        # whose score is above 0.0, so the row holds at least one uncovered object.
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
         cols = cols[~self._covered[cols]]
-        if not len(cols):
-            return 0.0, 0
         self._covered[cols] = True
         touched = np.zeros(len(self._score), dtype=bool)
         touched[self._entries(cols)[1]] = True

@@ -18,8 +18,8 @@ from conftest import as_pairs, make_dataset, random_dataset
 from distclust import (
     CLUSTER_PARAMS,
     CostModel,
-    GlobalLabeling,
     GlobalParams,
+    Labeling,
     RepresentativeRecord,
     SelectionState,
     StopCriterion,
@@ -266,7 +266,7 @@ def test_criterion_7f_label_totality():
             for r in records
         }
         local = relabel_site((p.id for p in ds), state.coverage_owner,
-                             GlobalLabeling(labels), site=2)
+                             Labeling(labels), site=2)
         assert set(local.labels) == {p.id for p in ds}
         for oid, key in local.provenance.items():
             assert local.labels[oid] == labels[key]

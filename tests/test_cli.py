@@ -156,6 +156,21 @@ def test_missing_file_is_diagnosed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_2_and_input_errors_exit_1(tmp_path, capsys):
+    # argparse rejects what it cannot parse with exit 2; a value it parses but the
+    # package rejects, such as a negative site, is an InputError and exits 1.
+    with pytest.raises(SystemExit) as usage:
+        run(["sweep", "--sites", "a", "--out", tmp_path / "s.csv"])
+    assert usage.value.code == 2 and "--sites" in capsys.readouterr().err
+    data = tmp_path / "d.csv"
+    run(["gen", "--kind", "custom", "--seed", "0", "--n-points", "10",
+         "--n-clusters", "1", "--out", data])
+    assert run(["local", "--in", data, "--eps", "1.0", "--budget", "2", "--site", "-1",
+                "--out", tmp_path / "r.jsonl"]) == 1
+    assert "site must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_bad_budget_is_diagnosed(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(["gen", "--kind", "custom", "--seed", "0", "--n-points", "10",

@@ -5,7 +5,8 @@ that moved. The outputs are the generated dataset; `run_pipeline` at 20%, 4 site
 (merged records, global, distributed and reference labels, report, cost); and each of those
 4 sites' `SelectionState` run to 50% (records, owners, `candidate_scores()` and the re-scoring
 work of the run). The work counters leave out the constructor's first scoring, so they count
-what greedy selection itself re-scored. No set is subsampled.
+what greedy selection itself re-scored. No set is subsampled. The files that
+`distclust pipeline` writes for set C are pinned too, one digest per file, as its bytes.
 
 A change that moves an output on purpose rewrites the file with
 `PYTHONPATH=src python tests/test_digests.py --write` and says why.
@@ -14,11 +15,13 @@ A change that moves an output on purpose rewrites the file with
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from distclust import CLUSTER_PARAMS, GlobalParams, SelectionState, StopCriterion
+from distclust.cli import main
 from distclust.datagen import dataset_spec
 from distclust.pipeline import ExperimentConfig, run_pipeline
 
@@ -74,6 +77,15 @@ def _record(rec) -> tuple:
     return rec.site, rec.seq, rec.point.coords, rec.cov_rad, rec.cov_cnt
 
 
+CLI = "cli pipeline C"
+CLI_ARGS = ["pipeline", "--kind", "C", "--seed", "7", "--budget", "0.2", "--sites", "4"]
+
+
+def cli_outputs(out_dir: Path) -> dict[str, str]:
+    assert main([*CLI_ARGS, "--out-dir", str(out_dir)]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())}
+
+
 @pytest.mark.parametrize("name", SETS)
 def test_outputs_match_their_frozen_digests(name):
     want = json.loads(DIGESTS.read_text())[name]
@@ -82,7 +94,16 @@ def test_outputs_match_their_frozen_digests(name):
     assert got.keys() == want.keys()
 
 
+def test_cli_files_match_their_frozen_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())[CLI]
+    got = cli_outputs(tmp_path)
+    assert {k: v for k, v in got.items() if want.get(k) != v} == {}, "files that moved"
+    assert got.keys() == want.keys()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_digests.py --write")
-    DIGESTS.write_text(json.dumps({name: outputs(name) for name in SETS}, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as out_dir:
+        frozen = {**{name: outputs(name) for name in SETS}, CLI: cli_outputs(Path(out_dir))}
+    DIGESTS.write_text(json.dumps(frozen, indent=1) + "\n")

@@ -222,10 +222,11 @@ def test_cluster_id_past_int64_rejected(side):
         evaluate(*((bad, good) if side == "distributed" else (good, bad)))
 
 
-@pytest.mark.parametrize("label", [1.5, float("nan"), np.float64(2.0)], ids=["1.5", "nan", "float64"])
+@pytest.mark.parametrize("label", [1.5, float("nan"), np.float64(2.0), True],
+                         ids=["1.5", "nan", "float64", "True"])
 @pytest.mark.parametrize("side", ["distributed", "reference"])
 def test_non_integer_cluster_id_rejected(side, label):
-    # 1.5 must not be read as 1 and merged with it, nor NaN fail as a bare ValueError.
+    # 1.5 must not be read as 1 and merged with it, nor NaN fail as a bare ValueError; a bool is not an id.
     good, bad = {1: 1, 2: 2, 3: 3}, {1: label, 2: 1, 3: 2.7}
     with pytest.raises(InputError, match=re.escape(repr(label))):
         evaluate(*((bad, good) if side == "distributed" else (good, bad)))

@@ -153,6 +153,7 @@ def test_budget_parsing():
     assert budget_to_stop(12) == StopCriterion.size(12)
     assert budget_to_stop(np.int64(2)) == StopCriterion.size(2)
     assert budget_to_stop(np.float64(0.5)) == StopCriterion.fraction(0.5)
+    assert budget_to_stop(np.float32(0.5)) == StopCriterion.fraction(0.5)
     with pytest.raises(InputError):
         budget_to_stop(True)
     with pytest.raises(InputError, match="bad budget"):
@@ -168,7 +169,7 @@ def test_budget_parsing():
 def test_pipeline_conservation_and_reports():
     result = run_pipeline(tiny_config())
     assert sorted(result.distributed) == [p.id for p in result.dataset]
-    ids_per_site = [sorted(l.labels) for l in result.local_labelings.values()]
+    ids_per_site = [sorted(l.labels) for l in result.local_labelings]
     assert sorted(i for ids in ids_per_site for i in ids) == sorted(result.distributed)
     assert 0.0 <= result.report.matching_quality <= 1.0
     assert result.cost.bytes_distributed == result.n_reps * 108

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_dataset
 from distclust import (
     ConsistencyError,
-    GlobalLabeling,
+    Labeling,
     NOISE,
     SelectionState,
     StopCriterion,
@@ -20,7 +20,7 @@ from distclust.relabel import (
 
 def test_single_representative_labels_everything():
     owners = {oid: 0 for oid in range(10)}
-    global_labels = GlobalLabeling({(0, 0): 1})
+    global_labels = Labeling({(0, 0): 1})
     labeling = relabel_site(range(10), owners, global_labels, site=0)
     assert labeling.labels == {oid: 1 for oid in range(10)}
     assert labeling.provenance == {oid: (0, 0) for oid in range(10)}
@@ -28,7 +28,7 @@ def test_single_representative_labels_everything():
 
 def test_noise_representative_propagates_noise():
     owners = {1: 0, 2: 0}
-    global_labels = GlobalLabeling({(4, 0): NOISE})
+    global_labels = Labeling({(4, 0): NOISE})
     labeling = relabel_site([1, 2], owners, global_labels, site=4)
     assert labeling.labels == {1: NOISE, 2: NOISE}
     # Covered-by-noise objects still carry provenance.
@@ -38,7 +38,7 @@ def test_noise_representative_propagates_noise():
 def test_uncovered_objects_become_noise_exactly():
     site_ids = list(range(20))
     owners = {oid: 0 for oid in range(12)}  # selection stopped early
-    global_labels = GlobalLabeling({(0, 0): 2})
+    global_labels = Labeling({(0, 0): 2})
     labeling = relabel_site(site_ids, owners, global_labels, site=0)
     assert {oid for oid, c in labeling.labels.items() if c == NOISE} == set(range(12, 20))
     assert all(labeling.labels[oid] == 2 for oid in range(12))
@@ -47,7 +47,7 @@ def test_uncovered_objects_become_noise_exactly():
 
 def test_missing_global_label_is_consistency_error():
     owners = {5: 3}
-    global_labels = GlobalLabeling({(0, 0): 1})  # seq 3 never labeled
+    global_labels = Labeling({(0, 0): 1})  # seq 3 never labeled
     with pytest.raises(ConsistencyError):
         relabel_site([5], owners, global_labels, site=0)
 
@@ -55,7 +55,7 @@ def test_missing_global_label_is_consistency_error():
 def test_owner_outside_the_site_is_consistency_error():
     # Ownership of objects 0..3, but the site holds 2..5: 0 and 1 belong elsewhere.
     owners = {0: 0, 1: 0, 2: 0, 3: 1}
-    global_labels = GlobalLabeling({(0, 0): 1, (0, 1): 2})
+    global_labels = Labeling({(0, 0): 1, (0, 1): 2})
     with pytest.raises(ConsistencyError, match=r"2 object\(s\) site 0 does not hold, e\.g\. \[0, 1\]"):
         relabel_site(range(2, 6), owners, global_labels, site=0)
 
@@ -64,7 +64,7 @@ def test_totality_and_owner_consistency(rng):
     ds = random_dataset(rng, 80)
     state = SelectionState(ds, 1.2, site=6)
     records = list(state.run(StopCriterion.size(8)))
-    global_labels = GlobalLabeling({(6, r.seq): (r.seq % 3) for r in records})
+    global_labels = Labeling({(6, r.seq): (r.seq % 3) for r in records})
     labeling = relabel_site((p.id for p in ds), state.coverage_owner, global_labels, site=6)
     assert set(labeling.labels) == {p.id for p in ds}
     for oid, owner_key in labeling.provenance.items():
@@ -87,7 +87,7 @@ def test_monotone_coverage_in_budget(rng):
 
 def test_local_labels_csv_roundtrip(tmp_path):
     owners = {0: 0, 2: 1}
-    global_labels = GlobalLabeling({(1, 0): 1, (1, 1): NOISE})
+    global_labels = Labeling({(1, 0): 1, (1, 1): NOISE})
     labeling = relabel_site([0, 1, 2], owners, global_labels, site=1)
     path = tmp_path / "site.csv"
     save_local_labels_csv(labeling, path)

@@ -486,6 +486,17 @@ def test_covering_stats_records_first_owner():
     assert state.coverage_owner == {0: 0, 1: 0, 2: 0, 3: 1}
 
 
+@pytest.mark.parametrize("site", [2.7, "x", True, -1])
+def test_site_must_be_an_integer_at_least_zero(site):
+    with pytest.raises(InputError, match="site must be an integer >= 0"):
+        SelectionState(make_dataset([(0.0, 0.0)]), 1.0, site=site)
+
+
+def test_site_accepts_numpy_integers():
+    (rec,), _ = run_selection(make_dataset([(0.0, 0.0)]), 1.0, StopCriterion.size(1), site=np.int64(3))
+    assert rec.site == 3 and type(rec.site) is int
+
+
 # -------------------------------------------------------------- stop criteria
 
 def test_stop_criterion_validation():
