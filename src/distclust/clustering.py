@@ -75,13 +75,10 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     if len(dims) != 1:
         raise InputError(f"representatives have mixed dimensions {sorted(dims)}")
     counts = [r.cov_cnt for r in records]
-    if min(counts) < 0 or sum(counts) >= 2**63:  # so no int64 weight sum can wrap
-        raise InputError(f"cov_cnt must be non-negative and total below 2**63, got total {sum(counts)}")
-    cov_rad = np.array([r.cov_rad for r in records], dtype=np.float64)
-    if (cov_rad < 0).any() or not np.isfinite(cov_rad).all():
-        raise InputError("coverage radii must be non-negative and finite")
+    if sum(counts) >= 2**63:  # so no int64 weight sum can wrap
+        raise InputError(f"cov_cnt must total below 2**63, got total {sum(counts)}")
     coords = np.array([r.point.coords for r in records], dtype=np.float64)
-    indptr, cols, _ = BallIndex(coords).graph(params.epsilon + cov_rad)
+    indptr, cols, _ = BallIndex(coords).graph(params.epsilon + np.array([r.cov_rad for r in records]))
     labels = _expand(indptr, cols, np.array(counts, dtype=np.int64), params.min_pts)
     return Labeling({rec.key: label for rec, label in zip(records, labels)})
 

@@ -25,36 +25,44 @@ GRAPH_BLOCK_PAIRS = 2**13  # candidate pairs per block of BallIndex.pair_blocks;
 
 @dataclass(frozen=True)
 class Point:
-    """A d-dimensional object with a stable non-negative integer id."""
+    """A d-dimensional object: a stable int id >= 0 and d >= 1 finite real coordinates, as floats."""
 
     id: int
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 0:
-            raise InputError(f"point id must be a non-negative integer, got {self.id!r}")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        if not self.coords:
-            raise InputError(f"point {self.id} has no coordinates")
-        if not all(math.isfinite(c) for c in self.coords):
-            raise InputError(f"point {self.id} has non-finite coordinates")
+        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
+            raise InputError(f"point id must be an integer >= 0, got {self.id!r}")
+        coords = tuple(map(real_float, self.coords))
+        if not coords or not all(map(math.isfinite, coords)):
+            raise InputError(f"point {self.id}: coords must be one or more finite numbers, got {self.coords!r}")
+        object.__setattr__(self, "coords", coords)
 
 
 def is_real(value) -> bool:
-    """Whether `value` is a real number; numpy floats and integers count, bools do not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether `value` is a real number; numpy floats and integers count, bools do not.
+    Python floats and ints match before the ABC, whose check is far slower."""
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def real_float(value) -> float:
+    """`value` as a float if it is a real number (see `is_real`) within the float range, else nan."""
+    try:
+        return float(value) if is_real(value) else math.nan
+    except OverflowError:  # an integer past the float range
+        return math.nan
 
 
 def check_epsilon(epsilon: float) -> float:
     """`epsilon` as a float; InputError unless it is a positive, finite real number."""
-    if not (is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+    if not 0 < real_float(epsilon) < math.inf:
         raise InputError(f"epsilon must be positive and finite, got {epsilon!r}")
     return float(epsilon)
 
 
 def check_count(value: int, what: str, least: int = 1) -> None:
     """InputError unless `value` is an integer >= `least`; numpy integers count, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
 
 

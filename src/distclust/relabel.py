@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 from .clustering import NOISE, Labeling
 from .errors import ConsistencyError
+from .geometry import check_count
 from .tables import read_int_table, write_table
 
 LOCAL_LABELS_HEADER = ("id", "cluster_id", "owner_seq")
@@ -37,8 +38,9 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
     covered it; objects absent from it get NOISE. Raises ConsistencyError when
     an owner seq has no global label (the transmitted stream and the labeled
     stream disagree in length) or when coverage_owner names an object the
-    site does not hold (ownership of another site).
+    site does not hold (ownership of another site); InputError unless site is an integer >= 0.
     """
+    check_count(site, "site", 0)
     labels: dict[int, int] = {}
     provenance: dict[int, tuple[int, int]] = {}
     for oid in site_ids:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon, is_real
+from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon, is_real, real_float
 from .tables import read_text
 
 RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
@@ -30,13 +30,22 @@ RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
 
 @dataclass(frozen=True)
 class RepresentativeRecord:
-    """One selected representative plus its coverage aggregates."""
+    """One selected representative plus its coverage aggregates, checked wherever it is built:
+    `site`, `seq` and `cov_cnt` are integers >= 0, and `cov_rad` a finite real >= 0, as a float."""
 
     point: Point
     cov_rad: float
     cov_cnt: int
     site: int
     seq: int
+
+    def __post_init__(self):
+        for field in ("site", "seq", "cov_cnt"):
+            check_count(getattr(self, field), field, 0)
+        cov_rad = real_float(self.cov_rad)
+        if not 0 <= cov_rad < math.inf:
+            raise InputError(f"cov_rad must be a non-negative and finite number, got {self.cov_rad!r}")
+        object.__setattr__(self, "cov_rad", cov_rad)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -61,7 +70,7 @@ class StopCriterion:
         frac, theta = self.max_fraction, self.theta
         if frac is not None and not (is_real(frac) and 0.0 < frac <= 1.0):
             raise InputError(f"fraction bound must be a number in (0, 1], got {frac!r}")
-        if theta is not None and not (is_real(theta) and math.isfinite(theta) and theta >= 0):
+        if theta is not None and not 0 <= real_float(theta) < math.inf:
             raise InputError(f"theta must be a finite number >= 0, got {theta!r}")
 
     @classmethod
@@ -185,29 +194,19 @@ class SelectionState:
         return self.chosen[-1]
 
 
-def record_to_json(rec: RepresentativeRecord) -> str:
-    return json.dumps({
-        "site": rec.site,
-        "seq": rec.seq,
-        "coords": list(rec.point.coords),
-        "cov_rad": rec.cov_rad,
-        "cov_cnt": rec.cov_cnt,
-    })
-
-
 def write_records_jsonl(records: Iterable[RepresentativeRecord], path: str | Path) -> int:
     """Write one JSON object per line, in stream order; returns the record count."""
     n = 0
     with open(path, "w") as f:
-        for rec in records:
-            f.write(record_to_json(rec) + "\n")
-            n += 1
+        for n, rec in enumerate(records, start=1):
+            f.write(json.dumps({"site": rec.site, "seq": rec.seq, "coords": list(rec.point.coords),
+                                "cov_rad": rec.cov_rad, "cov_cnt": rec.cov_cnt}) + "\n")
     return n
 
 
 def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
-    """Parse a representative stream file; the wire format carries no object
-    ids, so each point gets its seq as a synthetic id."""
+    """Parse a representative stream file; the wire format carries no object ids, so each point
+    gets its seq as a synthetic id (a bad seq is reported as its point id). Errors name path:line."""
     records = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):  # as iterating `open(path)` splits
         line = line.strip()
@@ -215,33 +214,8 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
             continue
         try:
             obj = json.loads(line)
-            seq = _json_int(obj, "seq")
-            rec = RepresentativeRecord(
-                point=Point(seq, tuple(_json_number(c, "coords") for c in obj["coords"])),
-                cov_rad=_json_number(obj["cov_rad"], "cov_rad"),
-                cov_cnt=_json_int(obj, "cov_cnt"),
-                site=_json_int(obj, "site"),
-                seq=seq,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            records.append(RepresentativeRecord(Point(obj["seq"], obj["coords"]), obj["cov_rad"],
+                                                obj["cov_cnt"], obj["site"], obj["seq"]))
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
-        if not math.isfinite(rec.cov_rad) or rec.cov_rad < 0 or rec.cov_cnt < 0:
-            raise InputError(f"{path}:{lineno}: coverage aggregates must be non-negative "
-                             f"and finite, got cov_rad {rec.cov_rad}, cov_cnt {rec.cov_cnt}")
-        records.append(rec)
     return records
-
-
-def _json_int(obj: dict, field: str) -> int:
-    # int() would truncate 0.9 to 0 and read true as 1.
-    value = obj[field]
-    if type(value) is not int:
-        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_number(value, field: str) -> float:
-    # float() would also take "2.5" and true.
-    if type(value) not in (int, float):
-        raise TypeError(f"{field}: expected a JSON number, got {value!r}")
-    return float(value)

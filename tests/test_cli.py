@@ -268,6 +268,22 @@ def test_relabel_rejects_another_sites_owners(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_relabel_rejects_a_negative_site(tmp_path, capsys):
+    # Global labels keyed by site -1 match the site asked for; the site itself is refused.
+    data, owners, glabels = tmp_path / "d.csv", tmp_path / "o.csv", tmp_path / "g.csv"
+    run(["gen", "--kind", "custom", "--seed", "0", "--n-points", "10",
+         "--n-clusters", "1", "--out", data])
+    assert run(["local", "--in", data, "--eps", "1.0", "--budget", "2", "--out", tmp_path / "r.jsonl",
+                "--owners", owners]) == 0
+    glabels.write_text("site,seq,cluster_id\n-1,0,1\n-1,1,1\n")
+    capsys.readouterr()
+    out = tmp_path / "l.csv"
+    assert run(["relabel", "--dataset", data, "--owners", owners, "--global-labels", glabels,
+                "--site", "-1", "--out", out]) == 1
+    assert "site must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_rejects_a_cluster_id_past_int64(tmp_path, capsys):
     dist, ref = tmp_path / "d.csv", tmp_path / "r.csv"
     dist.write_text(f"id,cluster_id,owner_seq\n0,{2**63},0\n1,0,-1\n")

@@ -250,9 +250,8 @@ def test_mixed_dimension_records_rejected():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
 def test_non_finite_or_negative_cov_rad_rejected(bad):
-    reps = [rec((0.0, 0.0), seq=0), rec((1.0, 0.0), cov_rad=bad, seq=1)]
     with pytest.raises(InputError, match="non-negative and finite"):
-        global_dbscan(reps, GlobalParams(1.0, 1))
+        global_dbscan([rec((0.0, 0.0), seq=0), rec((1.0, 0.0), cov_rad=bad, seq=1)], GlobalParams(1.0, 1))
 
 
 def test_cov_cnt_total_past_int64_rejected():

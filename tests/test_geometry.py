@@ -17,11 +17,15 @@ def test_point_rejects_non_finite_coords():
         Point(0, (0.0, float("nan")))
     with pytest.raises(InputError):
         Point(0, (float("inf"), 0.0))
+    with pytest.raises(InputError, match="coords must be one or more finite numbers"):
+        Point(0, ("2.5", 0.0))
 
 
 def test_point_rejects_negative_id():
     with pytest.raises(InputError):
         Point(-1, (0.0,))
+    with pytest.raises(InputError, match="point id must be an integer >= 0, got True"):
+        Point(True, (0.0,))
 
 
 def test_dataset_rejects_duplicate_ids():

@@ -129,9 +129,8 @@ def test_merge_rejects_seq_gaps():
 @pytest.mark.parametrize("order", ["interleave", "concat"])
 @pytest.mark.parametrize("streams,message,key", [
     ([[_rec(0, 0), _rec(0, 1), _rec(0, 1)]], "appears twice", (0, 1)),
-    ([[replace(_rec(0, 1), seq=-1), _rec(0, 0)]], "0..k-1", (0, -1)),
     ([[_rec(0, 0), _rec(0, 1)], [_rec(1, 0)], [_rec(2, 0), _rec(2, 2)]], "0..k-1", (2, 2)),
-], ids=["repeat-in-one-stream", "negative-seq", "gap-in-a-later-site"])
+], ids=["repeat-in-one-stream", "gap-in-a-later-site"])
 def test_merge_names_the_first_bad_key(streams, message, key, order):
     with pytest.raises(InputError, match=message) as info:
         merge_streams(streams, order)

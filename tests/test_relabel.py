@@ -60,6 +60,12 @@ def test_owner_outside_the_site_is_consistency_error():
         relabel_site(range(2, 6), owners, global_labels, site=0)
 
 
+@pytest.mark.parametrize("site", [-1, True, 2.5])
+def test_site_must_be_an_integer_at_least_zero(site):
+    with pytest.raises(InputError, match="site must be an integer >= 0"):
+        relabel_site([0], {0: 0}, Labeling({(0, 0): 1}), site=site)
+
+
 def test_totality_and_owner_consistency(rng):
     ds = random_dataset(rng, 80)
     state = SelectionState(ds, 1.2, site=6)

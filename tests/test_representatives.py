@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import Dataset, InputError, SelectionState, StopCriterion
+from distclust import Dataset, InputError, Point, RepresentativeRecord, SelectionState, StopCriterion
 from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import partition
 from distclust.representatives import read_records_jsonl, write_records_jsonl
@@ -535,6 +535,30 @@ def test_fraction_resolution():
     assert StopCriterion.error_bound().resolve_count(100) is None
 
 
+# -------------------------------------------------------------------- records
+
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param(field, value, id=f"{field}={value}")
+      for field in ("site", "seq", "cov_cnt") for value in (-1, True, 2.5)),
+    *(pytest.param("cov_rad", value, id=f"cov_rad={value!r}")
+      for value in (math.nan, math.inf, -0.5, True, "0.5")),
+    pytest.param("id", True, id="id=True"),
+    pytest.param("coords", ("2.5", 0.0), id="coords=('2.5', 0.0)"),
+    pytest.param("coords", (False, 0.0), id="coords=(False, 0.0)"),
+    pytest.param("coords", (10**400, 0.0), id="coords=(10**400, 0.0)"),
+])
+def test_record_rejects_a_bad_field(field, value):
+    f = {"id": 1, "coords": (1.0, 0.0), "cov_rad": 0.5, "cov_cnt": 2, "site": 0, "seq": 1, field: value}
+    with pytest.raises(InputError, match="point id" if field == "id" else field):
+        RepresentativeRecord(Point(f["id"], f["coords"]), f["cov_rad"], f["cov_cnt"], f["site"], f["seq"])
+
+
+def test_record_stores_its_numbers_as_floats():
+    rec = RepresentativeRecord(Point(0, (1, np.float32(0.5))), 0, 1, 0, 0)
+    assert rec.point.coords == (1.0, 0.5) and rec.cov_rad == 0.0
+    assert all(type(x) is float for x in (*rec.point.coords, rec.cov_rad))
+
+
 # ---------------------------------------------------------------- wire format
 
 def test_jsonl_roundtrip(tmp_path, rng):
@@ -582,7 +606,8 @@ def test_jsonl_rejects_non_integer_site_seq_cov_cnt(tmp_path, field, spelling):
     bad = ('{"site": %(site)s, "seq": %(seq)s, "coords": [1.0, 0.0], "cov_rad": 0.5, '
            '"cov_cnt": %(cov_cnt)s}' % fields)
     path.write_text(good + "\n" + bad + "\n")
-    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*{field} must be a JSON integer"):
+    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*"  # the seq is the point's id
+                       rf"{'point id' if field == 'seq' else field} must be an integer >= 0"):
         read_records_jsonl(path)
 
 
@@ -596,5 +621,6 @@ def test_jsonl_rejects_non_number_coords_cov_rad(tmp_path, coords, cov_rad):
     bad = ('{"site": 0, "seq": 1, "coords": %s, "cov_rad": %s, "cov_cnt": 2}'
            % (coords, cov_rad))
     path.write_text(good + "\n" + bad + "\n")
-    with pytest.raises(InputError, match=r"bad\.jsonl:2: .*expected a JSON number"):
+    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*"
+                       rf"{'cov_rad' if coords == '[1.0, 2.5]' else 'coords'} must be .*finite number"):
         read_records_jsonl(path)
