@@ -99,6 +99,17 @@ def _rec(site, seq):
     return RepresentativeRecord(Point(seq, (float(site), float(seq))), 0.0, 1, site, seq)
 
 
+def _unchecked_rec(site, seq):
+    """A record built past its constructor's checks, as a duck-typed caller
+    could hand one in: merge_streams must still hold its own 0..k-1 check."""
+    rec = object.__new__(RepresentativeRecord)
+    for name, value in vars(_rec(0, 0)).items():
+        object.__setattr__(rec, name, value)
+    object.__setattr__(rec, "site", site)
+    object.__setattr__(rec, "seq", seq)
+    return rec
+
+
 def test_merge_interleave_puts_best_first():
     streams = [[_rec(0, 0), _rec(0, 1)], [_rec(1, 0), _rec(1, 1), _rec(1, 2)]]
     merged = merge_streams(streams, "interleave")
@@ -129,8 +140,9 @@ def test_merge_rejects_seq_gaps():
 @pytest.mark.parametrize("order", ["interleave", "concat"])
 @pytest.mark.parametrize("streams,message,key", [
     ([[_rec(0, 0), _rec(0, 1), _rec(0, 1)]], "appears twice", (0, 1)),
+    ([[_unchecked_rec(0, -1), _rec(0, 0)]], "0..k-1", (0, -1)),
     ([[_rec(0, 0), _rec(0, 1)], [_rec(1, 0)], [_rec(2, 0), _rec(2, 2)]], "0..k-1", (2, 2)),
-], ids=["repeat-in-one-stream", "gap-in-a-later-site"])
+], ids=["repeat-in-one-stream", "negative-seq", "gap-in-a-later-site"])
 def test_merge_names_the_first_bad_key(streams, message, key, order):
     with pytest.raises(InputError, match=message) as info:
         merge_streams(streams, order)
