@@ -13,9 +13,7 @@ from .evaluation import (
     CostModel,
     QualityReport,
     TransmissionCost,
-    adjusted_rand,
     evaluate,
-    matching_quality,
     transmission_cost,
 )
 from .geometry import BallIndex, Dataset, Point, load_dataset_csv, save_dataset_csv

@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
         model = CostModel(args.bytes_per_object, args.bytes_per_aggregate)
         n_total = report.n_objects
         cost = transmission_cost(args.n_reps, n_total, model)
-        write_cost_csv([(args.n_reps / n_total if n_total else 0.0, cost)], args.cost_out)
+        write_cost_csv(args.n_reps / n_total if n_total else 0.0, cost, args.cost_out)
     line = report.to_json()
     if args.out:
         Path(args.out).write_text(line + "\n")
@@ -193,8 +193,8 @@ def cmd_pipeline(args) -> int:
         save_local_labels_csv(labeling, outdir / f"site_{site}_labels.csv")
     save_reference_labels_csv(result.reference, outdir / "reference_labels.csv")
     (outdir / "report.json").write_text(result.report.to_json() + "\n")
-    frac = result.n_reps / len(result.dataset) if len(result.dataset) else 0.0
-    write_cost_csv([(frac, result.cost)], outdir / "cost.csv")
+    frac = len(result.merged) / len(result.dataset) if len(result.dataset) else 0.0
+    write_cost_csv(frac, result.cost, outdir / "cost.csv")
     print(result.report.to_json())
     return 0
 

@@ -1,9 +1,9 @@
-"""Quality metrics against a centralized labeling, and the transmission-cost model.
+"""Quality of a distributed labeling against a centralized one, and the transmission-cost model.
 
-The headline metric is a matching quality: distributed and reference clusters
-are matched one-to-one by maximum overlap, noise may only match noise, and the
-score is the fraction of objects that land consistently. The adjusted Rand
-index is computed alongside as a matching-free cross-check.
+`evaluate` is the one scorer: from one contingency table it gives the headline
+matching quality (distributed and reference clusters matched one-to-one by
+maximum overlap, noise only to noise, scoring the fraction of objects that land
+consistently) and the adjusted Rand index, a matching-free cross-check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,6 +25,8 @@ from .tables import write_table
 
 @dataclass(frozen=True)
 class QualityReport:
+    """What `evaluate` measures; the cluster counts leave out NOISE."""
+
     matching_quality: float
     adjusted_rand: float
     n_objects: int
@@ -80,17 +82,6 @@ def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray,
     return d_ids, r_ids, cells.reshape(len(d_ids), len(r_ids))
 
 
-def matching_quality(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
-    """Fraction of objects consistently labeled under the best one-to-one
-    matching of distributed clusters to reference clusters.
-
-    Noise is its own class: it is never matched to a real cluster, so an
-    object only counts when both sides call it noise, or both sides put it
-    into a matched cluster pair.
-    """
-    return _matching_quality(*_table(dist, ref))
-
-
 def _matching_quality(d_ids: np.ndarray, r_ids: np.ndarray, table: np.ndarray) -> float:
     if not table.size:
         return 1.0
@@ -101,16 +92,6 @@ def _matching_quality(d_ids: np.ndarray, r_ids: np.ndarray, table: np.ndarray) -
         rows, cols = linear_sum_assignment(overlap, maximize=True)
         matched += int(overlap[rows, cols].sum())
     return matched / int(table.sum())
-
-
-def adjusted_rand(dist: Mapping[int, int], ref: Mapping[int, int]) -> float:
-    """Pair-counting adjusted Rand index with noise treated as an ordinary class.
-
-    1.0 for identical partitions; the degenerate cases where the formula's
-    denominator vanishes (both sides one cluster, or both all singletons) only
-    arise for identical partitions and also return 1.0.
-    """
-    return _adjusted_rand(_table(dist, ref)[2])
 
 
 def _adjusted_rand(table: np.ndarray) -> float:
@@ -140,7 +121,13 @@ def transmission_cost(n_reps: int, n_total: int, model: CostModel) -> Transmissi
 
 
 def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
-    """Full quality report for a distributed labeling against the reference."""
+    """Score a distributed labeling against the reference; both map the same ids to cluster ids >= 0.
+
+    `matching_quality` is the fraction of objects labeled consistently under the best one-to-one
+    matching of distributed to reference clusters, where noise matches only noise. `adjusted_rand`
+    is the pair-counting adjusted Rand index, counting noise as an ordinary class. The degenerate
+    cases (no objects; an adjusted Rand denominator of 0, which only identical partitions reach) score 1.0.
+    """
     d_ids, r_ids, table = _table(dist, ref)
     return QualityReport(
         matching_quality=_matching_quality(d_ids, r_ids, table),
@@ -151,7 +138,7 @@ def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
     )
 
 
-def write_cost_csv(rows: Iterable[tuple[float, TransmissionCost]], path: str | Path) -> None:
-    """Cost figures as `frac,bytes_distributed,bytes_full,speedup` rows."""
+def write_cost_csv(frac: float, cost: TransmissionCost, path: str | Path) -> None:
+    """One run's cost as a `frac,bytes_distributed,bytes_full,speedup` row."""
     write_table(path, ["frac", "bytes_distributed", "bytes_full", "speedup"],
-                ((frac, cost.bytes_distributed, cost.bytes_full, cost.speedup) for frac, cost in rows))
+                [(frac, cost.bytes_distributed, cost.bytes_full, cost.speedup)])

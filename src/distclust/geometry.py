@@ -60,10 +60,11 @@ def check_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
-def check_count(value: int, what: str, least: int = 1) -> None:
-    """InputError unless `value` is an integer >= `least`; numpy integers count, bools do not."""
+def check_count(value: int, what: str, least: int = 1) -> int:
+    """`value` as an int; InputError unless it is an integer >= `least` (numpy integers count, bools do not)."""
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class Dataset:

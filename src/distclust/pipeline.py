@@ -126,8 +126,8 @@ class PipelineResult:
     reference: Labeling
     report: QualityReport
     cost: TransmissionCost
-    site_seconds: tuple[float, ...] = ()
-    global_seconds: float = 0.0
+    site_seconds: tuple[float, ...]
+    global_seconds: float
 
     @property
     def local_seconds(self) -> float:
@@ -137,10 +137,6 @@ class PipelineResult:
     @property
     def cpu_seconds(self) -> float:
         return self.local_seconds + self.global_seconds
-
-    @property
-    def n_reps(self) -> int:
-        return len(self.merged)
 
 
 def _select_site(site_ds: Dataset, epsilon: float, limit: int, site: int):

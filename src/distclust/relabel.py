@@ -8,7 +8,7 @@ what the transmitted stream can reconstruct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -27,7 +27,7 @@ class LocalLabeling:
     (site, seq) recorded for every covered object."""
 
     labels: dict[int, int]
-    provenance: dict[int, tuple[int, int]] = field(default_factory=dict)
+    provenance: dict[int, tuple[int, int]]
 
 
 def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],

@@ -30,8 +30,8 @@ RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
 
 @dataclass(frozen=True)
 class RepresentativeRecord:
-    """One selected representative plus its coverage aggregates, checked wherever it is built:
-    `site`, `seq` and `cov_cnt` are integers >= 0, and `cov_rad` a finite real >= 0, as a float."""
+    """One selected representative plus its coverage aggregates, checked wherever it is built: `site`,
+    `seq` and `cov_cnt` are integers >= 0, stored as ints, and `cov_rad` a finite real >= 0, as a float."""
 
     point: Point
     cov_rad: float
@@ -41,7 +41,7 @@ class RepresentativeRecord:
 
     def __post_init__(self):
         for field in ("site", "seq", "cov_cnt"):
-            check_count(getattr(self, field), field, 0)
+            object.__setattr__(self, field, check_count(getattr(self, field), field, 0))
         cov_rad = real_float(self.cov_rad)
         if not 0 <= cov_rad < math.inf:
             raise InputError(f"cov_rad must be a non-negative and finite number, got {self.cov_rad!r}")
@@ -111,8 +111,7 @@ class SelectionState:
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
         self.epsilon = check_epsilon(epsilon)
-        check_count(site, "site", 0)
-        self.site = int(site)
+        self.site = check_count(site, "site", 0)
         order = np.argsort(dataset.ids)  # scores sum in id order, and ties go to the lower id
         self.ids, self.index = dataset.ids[order], BallIndex(dataset.coords[order])
         self._indptr, self._cols, self._score = self.index.graph(self.epsilon)
@@ -121,7 +120,6 @@ class SelectionState:
         self.rows_rescored, self.rescore_passes = len(dataset), 0
         self.chosen: list[RepresentativeRecord] = []
         self.coverage_owner: dict[int, int] = {}
-        self.covered = self.coverage_owner.keys()  # a live view; compares equal to a set
 
     def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
@@ -206,7 +204,7 @@ def write_records_jsonl(records: Iterable[RepresentativeRecord], path: str | Pat
 
 def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
     """Parse a representative stream file; the wire format carries no object ids, so each point
-    gets its seq as a synthetic id (a bad seq is reported as its point id). Errors name path:line."""
+    gets its seq as a synthetic id. Errors name path:line."""
     records = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):  # as iterating `open(path)` splits
         line = line.strip()
@@ -214,8 +212,8 @@ def read_records_jsonl(path: str | Path) -> list[RepresentativeRecord]:
             continue
         try:
             obj = json.loads(line)
-            records.append(RepresentativeRecord(Point(obj["seq"], obj["coords"]), obj["cov_rad"],
-                                                obj["cov_cnt"], obj["site"], obj["seq"]))
+            records.append(RepresentativeRecord(Point(check_count(obj["seq"], "seq", 0), obj["coords"]),
+                                                obj["cov_rad"], obj["cov_cnt"], obj["site"], obj["seq"]))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"{path}:{lineno}: bad representative record: {e}") from None
     return records

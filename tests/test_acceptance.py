@@ -23,8 +23,8 @@ from distclust import (
     RepresentativeRecord,
     SelectionState,
     StopCriterion,
+    evaluate,
     global_dbscan,
-    matching_quality,
     reference_dbscan,
     relabel_site,
     transmission_cost,
@@ -114,7 +114,7 @@ def test_criterion_3_incremental_scores_match_definition():
             rounds = int(rng.integers(3, 26))
             for rec in state.run(StopCriterion.size(rounds)):
                 maintained = state.candidate_scores()
-                expected = oracles.def3_scores_fast(nbrs, eps, state.covered, maintained.keys())
+                expected = oracles.def3_scores_fast(nbrs, eps, state.coverage_owner.keys(), maintained.keys())
                 for oid, value in maintained.items():
                     assert value == pytest.approx(expected[oid], rel=1e-9, abs=1e-12), (
                         f"trial {trial}, candidate {oid}"
@@ -183,7 +183,7 @@ def test_criterion_7a_coverage_partition():
         state = SelectionState(ds, eps)
         records = list(state.run(StopCriterion.error_bound(0.0)))
         # Exhaustion covers everything, each object exactly once.
-        assert state.covered == {p.id for p in ds}
+        assert state.coverage_owner.keys() == {p.id for p in ds}
         assert sum(r.cov_cnt for r in records) == len(ds)
         by_rep = {r.seq: r for r in records}
         for oid, seq in state.coverage_owner.items():
@@ -202,8 +202,8 @@ def test_criterion_7b_cov_cnt_sum_bounded():
         state = SelectionState(ds, eps)
         records = list(state.run(StopCriterion.size(bound)))
         total = sum(r.cov_cnt for r in records)
-        assert total == len(state.covered) <= len(ds)
-        if state.covered == {p.id for p in ds}:
+        assert total == len(state.coverage_owner) <= len(ds)
+        if state.coverage_owner.keys() == {p.id for p in ds}:
             assert total == len(ds)
 
     with criterion("7b", "sum of cov_cnt never exceeds the site size"):
@@ -287,12 +287,12 @@ def test_criterion_7g_metric_permutation_invariance():
     def prop(labels, data):
         dist = {i: a for i, (a, _) in enumerate(labels)}
         ref = {i: b for i, (_, b) in enumerate(labels)}
-        base = matching_quality(dist, ref)
+        base = evaluate(dist, ref).matching_quality
         ids = sorted(set(dist.values()) - {0})
         mapping = dict(zip(ids, data.draw(st.permutations(ids)))) if ids else {}
         permuted = {i: mapping.get(v, 0) for i, v in dist.items()}
-        assert matching_quality(permuted, ref) == pytest.approx(base, abs=1e-12)
-        assert matching_quality(dist, dist) == 1.0
+        assert evaluate(permuted, ref).matching_quality == pytest.approx(base, abs=1e-12)
+        assert evaluate(dist, dist).matching_quality == 1.0
 
     with criterion("7g", "matching quality invariant under cluster-id permutation"):
         prop()

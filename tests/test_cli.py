@@ -111,6 +111,14 @@ def test_pipeline_command_writes_artifacts(tmp_path):
                  "site_0_labels.csv", "site_1_labels.csv",
                  "reference_labels.csv", "report.json", "cost.csv"]:
         assert (outdir / name).exists(), name
+    # `eval` on the run's own labels, priced at its record count, writes the same report and cost row.
+    n_reps = len((outdir / "reps.jsonl").read_text().splitlines())
+    report, cost_csv = tmp_path / "report.json", tmp_path / "cost.csv"
+    assert run(["eval", "--dist", outdir / "site_0_labels.csv", outdir / "site_1_labels.csv",
+                "--ref", outdir / "reference_labels.csv", "--out", report,
+                "--cost-out", cost_csv, "--n-reps", n_reps]) == 0
+    assert report.read_bytes() == (outdir / "report.json").read_bytes()
+    assert cost_csv.read_bytes() == (outdir / "cost.csv").read_bytes()
 
 
 def test_sweep_command(tmp_path):

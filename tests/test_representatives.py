@@ -74,7 +74,7 @@ def test_dyn_rep_q_drops_when_neighbors_get_covered():
     state = SelectionState(ds, eps)
     assert state.candidate_scores()[0] == pytest.approx((1 - 0.5) + (1 - 0.8) + (1 - 0.9) + 1.0)
     list(state.run(StopCriterion.size(1)))
-    assert state.covered == {2, 3, 4, 5, 6}
+    assert state.coverage_owner.keys() == {2, 3, 4, 5, 6}
     assert state.candidate_scores()[0] == pytest.approx((1 - 0.5) + 1.0)
 
 
@@ -327,12 +327,12 @@ def test_coverage_partition_and_cov_cnt_bound(rng):
     eps = 1.2
     records, state = run_selection(ds, eps, StopCriterion.error_bound(0.0))
     # Exhaustive run: everything covered, newly-covered sets partition the ids.
-    assert state.covered == {p.id for p in ds}
+    assert state.coverage_owner.keys() == {p.id for p in ds}
     assert sum(r.cov_cnt for r in records) == len(ds)
     assert all(r.cov_rad <= eps for r in records)
     # Truncated run: sum of cov_cnt can only fall short.
     short, short_state = run_selection(ds, eps, StopCriterion.size(5))
-    assert sum(r.cov_cnt for r in short) == len(short_state.covered) <= len(ds)
+    assert sum(r.cov_cnt for r in short) == len(short_state.coverage_owner) <= len(ds)
 
 
 def test_seq_values_consecutive(rng):
@@ -574,6 +574,18 @@ def test_jsonl_roundtrip(tmp_path, rng):
     assert first.startswith('{"site": 3, "seq": 0, "coords": [')
 
 
+def test_jsonl_roundtrip_of_numpy_integer_fields(tmp_path):
+    # The wire format has no point ids; each point comes back with its seq as its id.
+    records = [RepresentativeRecord(Point(seq, (float(seq), 0.5)), 0.25, np.int32(3 - seq),
+                                    np.int64(2), np.int64(seq)) for seq in range(3)]
+    assert all(type(x) is int for r in records for x in (r.site, r.seq, r.cov_cnt))
+    path = tmp_path / "reps.jsonl"
+    assert write_records_jsonl(records, path) == 3
+    back = read_records_jsonl(path)
+    assert back == records
+    assert all(type(x) is int for r in back for x in (r.site, r.seq, r.cov_cnt))
+
+
 def test_jsonl_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"site": 0, "seq": 0}\n')
@@ -606,8 +618,7 @@ def test_jsonl_rejects_non_integer_site_seq_cov_cnt(tmp_path, field, spelling):
     bad = ('{"site": %(site)s, "seq": %(seq)s, "coords": [1.0, 0.0], "cov_rad": 0.5, '
            '"cov_cnt": %(cov_cnt)s}' % fields)
     path.write_text(good + "\n" + bad + "\n")
-    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*"  # the seq is the point's id
-                       rf"{'point id' if field == 'seq' else field} must be an integer >= 0"):
+    with pytest.raises(InputError, match=rf"bad\.jsonl:2: .*{field} must be an integer >= 0"):
         read_records_jsonl(path)
 
 
