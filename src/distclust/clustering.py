@@ -5,10 +5,11 @@ the closed ball of the enlarged radius epsilon + cov_rad(r), and the core test
 sums the cov_cnt weights of the representatives reached instead of counting
 them. With cov_rad = 0 and cov_cnt = 1 everywhere it degenerates term by term
 to the textbook algorithm that `reference_dbscan` computes as the centralized
-baseline. The two are independent algorithms over the same closed balls: the
-global clustering is a density expansion (`_expand`) over the directed reach
-graph that `BallIndex.graph` builds at per-row radii; the reference is the
-core-graph components over `BallIndex.pair_blocks` on a grid of epsilon/sqrt(d) cells.
+baseline. The two are independent algorithms over the same closed balls, each
+read from `BallIndex.pair_blocks`: the global clustering is a density expansion
+(`_expand`) over the directed reach graph at per-row radii, in which a zero-count
+record with a witness lists only the positive-count records (see `global_dbscan`);
+the reference is the core-graph components on a grid of epsilon/sqrt(d) cells.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -67,6 +68,37 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     labeled NOISE; it may still be absorbed later as a border member of a
     cluster. Expansion enqueues UNCLASSIFIED neighbors of core representatives
     only. Deterministic: same input sequence and params, same labeling.
+
+    `_expand` runs over the reach graph, where row r lists every q with
+    D(r, q) <= R(r): D is the `BallIndex.distances` float and R(r) = eps + cov_rad(r),
+    rounded. One kind of row is cut short. A positive-count row s is a *witness* of a
+    zero-count row z when z reaches s and D(s, z) <= cov_rad(s) - cov_rad(z) - slack(s).
+    A zero-count row with a witness keeps only its positive-count columns, which hold
+    the witness; every other row stays whole. The labels are those of the whole graph:
+    - Core flags do not change: a core test sums weights, and the dropped columns weigh 0.
+    - s reaches every row that z reaches (see the rounding below), z itself included.
+      Weights are not negative, so s is core when z is.
+    - Clusters agree one by one. `_expand` finishes a cluster before it takes the next
+      start, so say both runs agree up to cluster C, started at p. The rows labeled C
+      are those free (UNCLASSIFIED or NOISE) when C starts that a path from p reaches
+      through free core rows. Each path of the cut graph is one of the whole graph. A
+      whole-graph path that takes a dropped edge z -> q can go z -> s -> q instead: z
+      keeps s, and s's row is whole. s is core because z is, and s is free: a core row
+      in an earlier cluster was expanded there, and s's expansion would have taken z
+      into that cluster too. So both runs label the same rows C, and the same rows NOISE.
+    - The witness must have a positive count, so that its own row is whole. Two
+      zero-count rows that witnessed each other could both drop the rows they share.
+
+    Rounding. Let u = 2**-53 and d the dimension. `distances` rounds each difference,
+    square and partial sum, and the root, once each; so a pair at exact distance x gets
+    a D with |D - x| <= k x + t, where k = (d + 4) u, and t = sqrt(d) 2**-537 bounds
+    squares that underflow (for d below 10**14). R and each subtraction of the witness
+    test round once more. With D(z, q) <= R(z), the triangle inequality
+    x(s, q) <= x(s, z) + x(z, q) and these bounds give D(s, q) <= R(s) whenever the
+    slack is at least (3d + 18) u (eps + cov_rad(s)) + 4t. The slack taken,
+    (d + 8) 2**-50 R(s) + 1e-150, stays above that once rounded. A bare triangle step
+    is not enough: when z is the farthest object s covered, D(s, z) = cov_rad(s), and
+    q lies at eps from z on the same line, D(s, q) can exceed R(s) by an ulp.
     """
     records = list(reps)
     if not records:
@@ -77,10 +109,47 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     counts = [r.cov_cnt for r in records]
     if sum(counts) >= 2**63:  # so no int64 weight sum can wrap
         raise InputError(f"cov_cnt must total below 2**63, got total {sum(counts)}")
-    coords = np.array([r.point.coords for r in records], dtype=np.float64)
-    indptr, cols, _ = BallIndex(coords).graph(params.epsilon + np.array([r.cov_rad for r in records]))
-    labels = _expand(indptr, cols, np.array(counts, dtype=np.int64), params.min_pts)
+    weight = np.array(counts, dtype=np.int64)
+    cov_rad = np.array([r.cov_rad for r in records])
+    index = BallIndex(np.array([r.point.coords for r in records], dtype=np.float64))
+    indptr, cols = _reach_graph(index, params.epsilon + cov_rad, cov_rad, weight)
+    labels = _expand(indptr, cols, weight, params.min_pts)
     return Labeling({rec.key: label for rec, label in zip(records, labels)})
+
+
+def _reach_graph(index: BallIndex, radius: np.ndarray, cov_rad: np.ndarray,
+                 weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, int32 cols) of `global_dbscan`'s reach graph: each row's closed
+    ball at its `radius`, in ascending columns, where a zero-count row with a witness keeps
+    only its positive-count columns."""
+    n = len(weight)
+    sizes = np.zeros(n, np.intp)
+    # Zero-count rows against positive-count columns: this finds the witnesses.
+    slack = (index.dim + 8) * 2.0**-50 * radius + 1e-150
+    witnessed, kept = np.zeros(n, bool), [(np.zeros(0, np.intp),) * 2]
+    for start, stop, rows, cols, dist in index.pair_blocks(radius, np.flatnonzero(weight == 0),
+                                                           cols=np.flatnonzero(weight > 0)):
+        witnessed[rows[dist <= cov_rad[cols] - cov_rad[rows] - slack[cols]]] = True
+        rows, cols = rows[witnessed[rows]], cols[witnessed[rows]]
+        sizes[start:stop] = np.bincount(rows - start, minlength=stop - start)
+        kept.append((rows, cols))
+    kept_rows, kept_cols = map(np.concatenate, zip(*kept))
+    # Every other row is whole. Its pairs come in row order, and a cut row's pairs join
+    # them before the first whole row past it, so the columns fill one array in order.
+    whole = np.flatnonzero(~witnessed)
+    counts = index.candidates(radius, whole)
+    out = np.empty(counts.sum() + len(kept_cols), np.int32)
+    filled = taken = 0
+    for start, stop, rows, cols, _ in index.pair_blocks(radius, whole, counts=counts):
+        sizes[start:stop] += np.bincount(rows - start, minlength=stop - start)
+        upto = np.searchsorted(kept_rows, stop)
+        if upto > taken:
+            order = np.argsort(np.concatenate((rows, kept_rows[taken:upto])), kind="stable")
+            cols, taken = np.concatenate((cols, kept_cols[taken:upto]))[order], upto
+        out[filled:filled + len(cols)] = cols
+        filled += len(cols)
+    out[filled:filled + len(kept_cols) - taken] = kept_cols[taken:]
+    return np.concatenate(([0], sizes.cumsum())), out[:filled + len(kept_cols) - taken]
 
 
 def reference_dbscan(ds: Dataset, params: GlobalParams) -> Labeling:

@@ -1,9 +1,9 @@
 """Points, datasets, and the closed-ball range index with its Euclidean distance.
 
 Every neighborhood in the pipeline is a row's closed ball from `BallIndex.pair_blocks` (and
-so from `graph`, which also sums each row's margins), at one radius or one per row, cut by
-the one distance formula of `BallIndex.distances`. A point at distance exactly ``radius``
-from the center is included, in every dimension.
+so from `graph`, which also sums each row's margins), at one radius or one per row, among
+all rows or a subset of them, cut by the one distance formula of `BallIndex.distances`. A
+point at distance exactly ``radius`` from the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -127,23 +127,37 @@ class BallIndex:
             square += diff[:, k]
         return np.sqrt(square)
 
+    def candidates(self, radius: float | np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per row of ascending positions `rows` (default: all), how many rows the tree finds in its
+        ball at `radius` (one, or one per row of the index), slightly inflated: at least the ball's
+        size, so their sum bounds the pairs `pair_blocks` lists and can size its output."""
+        radius = self._check_radius(radius)
+        rows = np.arange(len(self.coords)) if rows is None else np.asarray(rows, dtype=np.intp)
+        return self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]), return_length=True)
+
     def pair_blocks(self, radius: float | np.ndarray, rows: np.ndarray | None = None,
-                    counts: np.ndarray | None = None
+                    cols: np.ndarray | None = None, counts: np.ndarray | None = None
                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
         """The closed balls of ascending positions `rows` (default: all) at `radius` (one, or one per
-        row of the index), in blocks of about `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known):
+        row of the index), cut to the ascending positions `cols` (default: all), in blocks of about
+        `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known; from `candidates` when `cols` is all):
         per block of rows in start..stop-1, (start, stop, rows, cols, distances), pairs by row, then col."""
         radius, n = self._check_radius(radius), len(self.coords)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        if not len(rows):
+            return
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+        tree = self._tree if cols is None else cKDTree(self.coords[cols])
         if counts is None:
-            counts = self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]),
-                                                 return_length=True)
+            counts = tree.query_ball_point(self.coords[rows], _inflate(radius[rows]), return_length=True)
         # A block ends where its candidates pass a multiple of the budget.
         cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // GRAPH_BLOCK_PAIRS)) + 1
-        for block in np.split(rows, cuts) if len(rows) else ():
+        for block in np.split(rows, cuts):
             found = cKDTree(self.coords[block]).sparse_distance_matrix(
-                self._tree, _inflate(radius[block].max()), output_type="ndarray")
-            pair_rows, pair_cols = np.divmod(np.sort(block[found["i"]] * n + found["j"]), n)
+                tree, _inflate(radius[block].max()), output_type="ndarray")
+            found_cols = found["j"] if cols is None else cols[found["j"]]
+            pair_rows, pair_cols = np.divmod(np.sort(block[found["i"]] * n + found_cols), n)
             dist = self.distances(pair_cols, self.coords.take(pair_rows, axis=0))
             keep = dist <= radius[pair_rows]
             yield block[0], block[-1] + 1, pair_rows[keep], pair_cols[keep], dist[keep]
@@ -154,7 +168,7 @@ class BallIndex:
         Third, each row's margin sum: radius - d over its ball, added from 0.0 in column order."""
         radius = self._check_radius(radius)
         # The candidate count bounds the columns, so they fill one array in place.
-        counts = self._tree.query_ball_point(self.coords, _inflate(radius), return_length=True)
+        counts = self.candidates(radius)
         cols = np.empty(counts.sum(), np.int32)
         filled, sizes, sums = 0, [[0]], [np.zeros(0)]
         for start, stop, rows, block, dist in self.pair_blocks(radius, counts=counts):

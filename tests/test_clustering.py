@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
 from distclust import (
+    CLUSTER_PARAMS,
     NOISE,
     Dataset,
     GlobalParams,
@@ -19,6 +20,8 @@ from distclust import (
     reference_dbscan,
 )
 from distclust import BallIndex, clustering, geometry
+from distclust.datagen import dataset_spec
+from distclust.pipeline import MERGE_ORDERS, ExperimentConfig, run_pipeline
 from distclust.clustering import (
     load_global_labels_csv,
     load_reference_labels_csv,
@@ -306,6 +309,73 @@ def test_zero_count_core_record_carries_its_witness_into_the_cluster():
         assert emptied[[r.key for r in merged].index((1, 0))] == 2
 
 
+# Per dimension: eps, then s, z and q, found by random search. s covers z at exactly
+# cov_rad(s) = D(s, z) <= eps, so z reaches s and is core; q lies at eps beyond z on the
+# same line, so z reaches q, while s misses q by one ulp of rounding in `distances`.
+FAR_EDGE = {
+    2: (2.5440862368663733, (-5.20202087701885, -2.5639112600882186),
+        (-5.245633878979647, -3.4250221246584136), (-5.374320215471486, -5.965851636336286)),
+    3: (1.8961392544446762, (9.736805530557742, 0.11588705637513996, -1.2051943213114917),
+        (9.605668005364864, 0.4965428119984999, -0.21558811707345515),
+        (9.372925782056976, 1.1721287417193686, 1.5407600207679306)),
+    4: (2.603716396009205, (6.534272403176303, -2.334212738565933, 4.131693644257551, 0.35866219871330784),
+        (4.768034538884727, -2.984939660890191, 3.078764908539866, 0.08517764082754847),
+        (2.6527280930505612, -3.7642723210596234, 1.81774169830483, -0.24235675294103215)),
+    5: (2.2501651399223, (-0.5533548279006251, 6.244100302524917, -0.08121711624648498, -4.190807674282477,
+                          -6.108462247684116),
+        (-0.542591814140462, 6.111282875566352, 0.00025560732836346634, -3.8546069203672375,
+         -5.94164860556935),
+        (-0.4830152961068956, 5.376098473809259, 0.45123163443949155, -1.9936346383596277,
+         -5.018284928893655)),
+}
+
+
+@pytest.mark.parametrize("dim", FAR_EDGE)
+def test_witness_rule_survives_rounding_on_the_far_edge(dim):
+    # Without a slack in the witness test, z would pass it, keep only its column s, and
+    # leave q unreached; q would come out NOISE where the whole graph puts it in cluster 1.
+    eps, s, z, q = FAR_EDGE[dim]
+    coords = np.array([s, z, q])
+    distance = BallIndex(coords).distances
+    cov_rad = distance(np.array([1]), coords[0])[0]
+    assert cov_rad <= eps and distance(np.array([2]), coords[1])[0] <= eps
+    assert distance(np.array([2]), coords[0])[0] > eps + cov_rad
+    assert assert_literal_weighted(coords, [cov_rad, 0.0, 0.0], [3, 0, 0], GlobalParams(eps, 3)) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("order", MERGE_ORDERS)
+def test_witnessed_zero_count_rows_list_only_positive_count_columns(monkeypatch, order):
+    # Kind C at 100%: 1021 records, about 900 of them zero-count once their site is covered.
+    graphs, expand = [], clustering._expand
+
+    def spy(indptr, cols, weight, min_pts):
+        graphs.append((indptr, cols, weight))
+        return expand(indptr, cols, weight, min_pts)
+
+    monkeypatch.setattr(clustering, "_expand", spy)
+    params = CLUSTER_PARAMS["C"]
+    res = run_pipeline(ExperimentConfig(dataset_spec("C", 7), 4, params.epsilon, params.min_pts,
+                                        budgets=(1.0,), seed=7, merge_order=order))
+    (indptr, cols, weight), = graphs
+    coords = np.array([r.point.coords for r in res.merged])
+    cov_rad = np.array([r.cov_rad for r in res.merged])
+    index = BallIndex(coords)
+    whole_indptr, whole_cols, _ = index.graph(params.epsilon + cov_rad)
+    assert len(cols) <= len(whole_cols) / 3
+    cut = 0
+    for row in range(len(res.merged)):
+        listed = cols[indptr[row]:indptr[row + 1]].tolist()
+        whole = whole_cols[whole_indptr[row]:whole_indptr[row + 1]]
+        positive = whole[weight[whole] > 0]
+        # A witness well inside, far past any rounding: such a row must be cut.
+        clear = weight[row] == 0 and (index.distances(positive, coords[row])
+                                      <= (cov_rad[positive] - cov_rad[row]) * (1 - 1e-9)).any()
+        assert listed == (positive.tolist() if clear else whole.tolist()) or (
+            weight[row] == 0 and listed == positive.tolist())
+        cut += clear
+    assert cut >= 850
+
+
 # ---------------------------------------------------------- reference dbscan
 
 def test_reference_single_dense_cluster():
@@ -517,9 +587,9 @@ def listed_rows(monkeypatch):
     """Every row position `BallIndex.pair_blocks` is asked to enumerate, call after call."""
     listed, original = [], BallIndex.pair_blocks
 
-    def spy(self, radius, rows=None, counts=None):
-        listed.extend(range(len(self.keys)) if rows is None else np.asarray(rows).tolist())
-        return original(self, radius, rows, counts)
+    def spy(self, radius, rows=None, cols=None, counts=None):
+        listed.extend(range(len(self.coords)) if rows is None else np.asarray(rows).tolist())
+        return original(self, radius, rows, cols, counts)
 
     monkeypatch.setattr(BallIndex, "pair_blocks", spy)
     return listed

@@ -2,11 +2,13 @@
 
 `digests.json` holds one digest per (set, output) pair, so a failure names every output
 that moved. The outputs are the generated dataset; `run_pipeline` at 20%, 4 sites, seed 1
-(merged records, global, distributed and reference labels, report, cost); and each of those
-4 sites' `SelectionState` run to 50% (records, owners, `candidate_scores()` and the re-scoring
-work of the run). The work counters leave out the constructor's first scoring, so they count
-what greedy selection itself re-scored. No set is subsampled. The files that
-`distclust pipeline` writes for set C are pinned too, one digest per file, as its bytes.
+(merged records, global, distributed and reference labels, report, cost); the global labels
+of those 4 sites' full (100%) streams in both merge orders, where most records are zero-count;
+and each of those 4 sites' `SelectionState` run to 50% (records, owners, `candidate_scores()`
+and the re-scoring work of the run). The work counters leave out the constructor's first
+scoring, so they count what greedy selection itself re-scored. No set is subsampled. The
+files that `distclust pipeline` writes for set C are pinned too, one digest per file, as its
+bytes.
 
 A change that moves an output on purpose rewrites the file with
 `PYTHONPATH=src python tests/test_digests.py --write` and says why.
@@ -20,10 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from distclust import CLUSTER_PARAMS, GlobalParams, SelectionState, StopCriterion
+from distclust import (CLUSTER_PARAMS, GlobalParams, SelectionState, StopCriterion, global_dbscan,
+                       merge_streams)
 from distclust.cli import main
 from distclust.datagen import dataset_spec
-from distclust.pipeline import ExperimentConfig, run_pipeline
+from distclust.pipeline import MERGE_ORDERS, ExperimentConfig, run_pipeline
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -58,6 +61,8 @@ def outputs(name: str) -> dict[str, str]:
         selections.append((records, state.coverage_owner, state.candidate_scores(),
                            (state.rows_rescored - at_init[0], state.rescore_passes - at_init[1])))
     records, owners, scores, work = zip(*selections)
+    full = [list(SelectionState(site, params.epsilon, site=k).run(StopCriterion.fraction(1.0)))
+            for k, site in enumerate(res.sites)]
     return {
         "dataset": digest((res.dataset.ids.tolist(), res.dataset.coords.tolist())),
         "records": digest([_record(r) for r in res.merged]),
@@ -66,6 +71,9 @@ def outputs(name: str) -> dict[str, str]:
         "reference": digest(sorted(res.reference.labels.items())),
         "report": digest(res.report.to_json()),
         "cost": digest(res.cost),
+        **{f"global 100% {order}": digest(sorted(global_dbscan(merge_streams(full, order), params)
+                                                 .labels.items()))
+           for order in MERGE_ORDERS},
         "selection records": digest([[_record(r) for r in recs] for recs in records]),
         "selection owners": digest([sorted(own.items()) for own in owners]),
         "selection scores": digest([list(s.items()) for s in scores]),

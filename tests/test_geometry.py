@@ -253,21 +253,30 @@ def test_graph_rows_equal_queries(rng, monkeypatch, dim):
         assert ds.ids[targets[i]] in graph_rows(idx, per_row, ds.ids)[i]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("dim", range(1, 6))
 def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypatch, dim):
-    # Small blocks, so a block holds a few scattered rows of the subset.
+    # Small blocks, so a block holds a few scattered rows of the subset. Against a column
+    # subset, each pair and its distance (bit for bit) is one of the full pairs.
     monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 7)
     idx = BallIndex(random_dataset(rng, 80, dim=dim).coords)
+    subsets = (np.flatnonzero(rng.random(80) < 0.3), np.array([79]), np.arange(80), np.array([], np.intp))
     for radius in (0.0, 1.5, rng.uniform(0, 3, 80)):
-        full = [(r, c) for _, _, rows, cols, _ in idx.pair_blocks(radius) for r, c in zip(rows, cols)]
-        for subset in (np.flatnonzero(rng.random(80) < 0.3), np.array([79]), np.arange(80)):
-            got, last = [], 0
-            for start, stop, rows, cols, _ in idx.pair_blocks(radius, subset):
-                assert last <= start <= rows.min() and rows.max() < stop
-                assert set(subset[(start <= subset) & (subset < stop)]) == set(rows.tolist())
-                got += zip(rows, cols)
-                last = stop
-            assert sorted(got) == sorted((r, c) for r, c in full if r in subset)
+        full = {(r, c): d for _, _, rows, cols, dist in idx.pair_blocks(radius)
+                for r, c, d in zip(rows.tolist(), cols.tolist(), dist.tolist())}
+        for subset in subsets:
+            for columns in (None, *subsets):
+                got, last = {}, 0
+                for start, stop, rows, cols, dist in idx.pair_blocks(radius, subset, cols=columns):
+                    block = subset[(start <= subset) & (subset < stop)]
+                    assert last <= start == block[0] and stop == block[-1] + 1
+                    assert set(rows.tolist()) <= set(block.tolist())
+                    if columns is None:  # every row finds itself
+                        assert set(rows.tolist()) == set(block.tolist())
+                    assert (np.diff(rows * 80 + cols) > 0).all()  # by row, then col
+                    got.update(zip(zip(rows.tolist(), cols.tolist()), dist.tolist()))
+                    last = stop
+                assert got == {(r, c): d for (r, c), d in full.items()
+                               if r in subset and (columns is None or c in columns)}
     # Every row finds itself, so a budget of one candidate pair puts each row in a block of its own.
     monkeypatch.setattr(geometry, "GRAPH_BLOCK_PAIRS", 1)
     assert [start for start, *_ in idx.pair_blocks(1.5)] == list(range(80))
