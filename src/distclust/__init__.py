@@ -10,7 +10,6 @@ from .clustering import (
 from .datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from .errors import ConsistencyError, DistClustError, InputError
 from .evaluation import (
-    CostModel,
     QualityReport,
     TransmissionCost,
     evaluate,

@@ -22,7 +22,7 @@ from .clustering import (
 )
 from .datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from .errors import DistClustError, InputError
-from .evaluation import CostModel, evaluate, transmission_cost, write_cost_csv
+from .evaluation import evaluate, write_cost_csv
 from .geometry import load_dataset_csv, save_dataset_csv
 from .pipeline import (MERGE_ORDERS, ExperimentConfig, budget_to_stop, merge_streams, run_pipeline,
                        sweep, write_sweep_csv)
@@ -79,8 +79,7 @@ def _config_from_args(args, n_sites: int, budgets: tuple) -> ExperimentConfig:
     params = _params_from_args(args)
     return ExperimentConfig(
         dataset=spec, n_sites=n_sites, epsilon=params.epsilon, min_pts=params.min_pts,
-        budgets=budgets, cost_model=CostModel(args.bytes_per_object, args.bytes_per_aggregate),
-        seed=args.seed, merge_order=args.merge_order, concurrent=args.concurrent,
+        budgets=budgets, seed=args.seed, merge_order=args.merge_order, concurrent=args.concurrent,
     )
 
 
@@ -101,12 +100,6 @@ def _add_run_args(p):
                    help="MinPts threshold (default: frozen value for the kind)")
     p.add_argument("--merge-order", choices=list(MERGE_ORDERS), default=MERGE_ORDERS[0])
     p.add_argument("--concurrent", action="store_true", help="run sites on worker processes")
-    _add_cost_args(p)
-
-
-def _add_cost_args(p):
-    p.add_argument("--bytes-per-object", type=int, default=CostModel.bytes_per_object)
-    p.add_argument("--bytes-per-aggregate", type=int, default=CostModel.bytes_per_aggregate)
 
 
 def cmd_gen(args) -> int:
@@ -170,11 +163,8 @@ def cmd_eval(args) -> int:
         distributed.update(part)
     reference = load_reference_labels_csv(args.ref)
     report = evaluate(distributed, reference.labels)
-    if args.cost_out:  # priced before any output, so a bad --n-reps writes nothing
-        model = CostModel(args.bytes_per_object, args.bytes_per_aggregate)
-        n_total = report.n_objects
-        cost = transmission_cost(args.n_reps, n_total, model)
-        write_cost_csv(args.n_reps / n_total if n_total else 0.0, cost, args.cost_out)
+    if args.cost_out:  # before any other output, so a bad --n-reps writes nothing
+        write_cost_csv(args.n_reps, report.n_objects, args.cost_out)
     line = report.to_json()
     if args.out:
         Path(args.out).write_text(line + "\n")
@@ -193,8 +183,7 @@ def cmd_pipeline(args) -> int:
         save_local_labels_csv(labeling, outdir / f"site_{site}_labels.csv")
     save_reference_labels_csv(result.reference, outdir / "reference_labels.csv")
     (outdir / "report.json").write_text(result.report.to_json() + "\n")
-    frac = len(result.merged) / len(result.dataset) if len(result.dataset) else 0.0
-    write_cost_csv(frac, result.cost, outdir / "cost.csv")
+    write_cost_csv(len(result.merged), len(result.dataset), outdir / "cost.csv")
     print(result.report.to_json())
     return 0
 
@@ -252,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report JSON here too")
     p.add_argument("--cost-out", default=None)
     p.add_argument("--n-reps", type=int, default=None)
-    _add_cost_args(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="full distributed run on a generated dataset")

@@ -1,9 +1,13 @@
-"""Quality of a distributed labeling against a centralized one, and the transmission-cost model.
+"""Quality of a distributed labeling against a centralized one, and the transmission cost.
 
 `evaluate` is the one scorer: from one contingency table it gives the headline
 matching quality (distributed and reference clusters matched one-to-one by
 maximum overlap, noise only to noise, scoring the fraction of objects that land
 consistently) and the adjusted Rand index, a matching-free cross-check.
+
+The cost is priced at fixed sizes: a raw object is `BYTES_PER_OBJECT` bytes, and a
+representative is one object plus its two aggregates (`cov_rad`, `cov_cnt`) of
+`BYTES_PER_AGGREGATE` bytes each, 108 bytes in all.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .errors import InputError
 from .geometry import check_count
 from .tables import write_table
 
+BYTES_PER_OBJECT = 100
+BYTES_PER_AGGREGATE = 4
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -35,19 +42,6 @@ class QualityReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Payload sizes in bytes: one per raw object, one per transmitted aggregate
-    (each representative carries two aggregates)."""
-
-    bytes_per_object: int = 100
-    bytes_per_aggregate: int = 4
-
-    def __post_init__(self):
-        check_count(self.bytes_per_object, "bytes_per_object")
-        check_count(self.bytes_per_aggregate, "bytes_per_aggregate")
 
 
 @dataclass(frozen=True)
@@ -109,13 +103,13 @@ def _adjusted_rand(table: np.ndarray) -> float:
     return (sum_cells - expected) / (maximum - expected)
 
 
-def transmission_cost(n_reps: int, n_total: int, model: CostModel) -> TransmissionCost:
+def transmission_cost(n_reps: int, n_total: int) -> TransmissionCost:
     """Bytes for sending n_reps representatives (point + two aggregates each)
     versus shipping all n_total raw objects, and the resulting speedup."""
     check_count(n_reps, "n_reps", 0)
     check_count(n_total, "n_total", n_reps)
-    bytes_distributed = n_reps * (model.bytes_per_object + 2 * model.bytes_per_aggregate)
-    bytes_full = n_total * model.bytes_per_object
+    bytes_distributed = n_reps * (BYTES_PER_OBJECT + 2 * BYTES_PER_AGGREGATE)
+    bytes_full = n_total * BYTES_PER_OBJECT
     speedup = math.inf if bytes_distributed == 0 else bytes_full / bytes_distributed
     return TransmissionCost(bytes_distributed, bytes_full, speedup)
 
@@ -138,7 +132,11 @@ def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
     )
 
 
-def write_cost_csv(frac: float, cost: TransmissionCost, path: str | Path) -> None:
-    """One run's cost as a `frac,bytes_distributed,bytes_full,speedup` row."""
+def write_cost_csv(n_reps: int, n_total: int, path: str | Path) -> None:
+    """The cost of n_reps representatives against n_total objects as one
+    `frac,bytes_distributed,bytes_full,speedup` row; priced before the file is
+    opened, so bad counts write nothing."""
+    cost = transmission_cost(n_reps, n_total)
+    frac = n_reps / n_total if n_total else 0.0
     write_table(path, ["frac", "bytes_distributed", "bytes_full", "speedup"],
                 [(frac, cost.bytes_distributed, cost.bytes_full, cost.speedup)])

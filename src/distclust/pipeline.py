@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .clustering import GlobalParams, Labeling, global_dbscan, reference_dbscan
 from .datagen import DatasetSpec, generate
 from .errors import InputError
-from .evaluation import CostModel, QualityReport, TransmissionCost, evaluate, transmission_cost
+from .evaluation import QualityReport, TransmissionCost, evaluate, transmission_cost
 from .geometry import Dataset, check_count, is_real
 from .relabel import LocalLabeling, relabel_site
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
@@ -43,7 +44,6 @@ class ExperimentConfig:
     epsilon: float
     min_pts: int
     budgets: tuple[Budget, ...] = (0.05,)
-    cost_model: CostModel = CostModel()
     seed: int = 0
     merge_order: str = MERGE_ORDERS[0]
     concurrent: bool = False
@@ -52,6 +52,11 @@ class ExperimentConfig:
         check_count(self.n_sites, "n_sites")
         check_count(self.seed, "seed", 0)
         self.params  # checks epsilon and min_pts
+        if not isinstance(self.budgets, (str, bytes)):
+            with suppress(TypeError):  # not iterable, a 0-d array included
+                object.__setattr__(self, "budgets", tuple(self.budgets))
+        if not isinstance(self.budgets, tuple):
+            raise InputError(f"budgets must be a non-string iterable, got {self.budgets!r}")
         if not self.budgets:
             raise InputError("at least one representative budget is required")
         for b in self.budgets:
@@ -210,7 +215,7 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
             distributed.update(labeling.labels)
 
         report = evaluate(distributed, reference.labels)
-        cost = transmission_cost(len(merged), len(ds), cfg.cost_model)
+        cost = transmission_cost(len(merged), len(ds))
         yield PipelineResult(
             dataset=ds, sites=sites, site_records=list(site_records), merged=merged,
             global_labeling=global_labeling, local_labelings=local_labelings,

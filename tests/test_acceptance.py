@@ -17,7 +17,6 @@ import oracles
 from conftest import as_pairs, make_dataset, random_dataset
 from distclust import (
     CLUSTER_PARAMS,
-    CostModel,
     GlobalParams,
     Labeling,
     RepresentativeRecord,
@@ -156,10 +155,9 @@ def test_criterion_5_quality_vs_sites_trend_dataset_b():
 
 def test_criterion_6_transmission_cost_arithmetic():
     with criterion(6, "cost model arithmetic is exact"):
-        model = CostModel(bytes_per_object=100, bytes_per_aggregate=4)
         n = 10_000
-        cost_17 = transmission_cost(int(0.17 * n), n, model)
-        cost_05 = transmission_cost(int(0.05 * n), n, model)
+        cost_17 = transmission_cost(int(0.17 * n), n)
+        cost_05 = transmission_cost(int(0.05 * n), n)
         assert cost_17.bytes_distributed / cost_05.bytes_distributed == 3.4
         expected_speedup = 100 / (0.05 * 108)
         assert cost_05.speedup == pytest.approx(expected_speedup, rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from distclust import dataset_spec, generate, partition, save_dataset_csv
 from distclust import cli
 from distclust.cli import main
-from distclust.evaluation import CostModel, transmission_cost
+from distclust.evaluation import transmission_cost
 
 
 def run(args):
@@ -179,6 +179,29 @@ def test_usage_errors_exit_2_and_input_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "sweep", "eval"])
+def test_byte_prices_are_not_options(tmp_path, capsys, command):
+    # Every run is priced at the fixed bytes of `distclust.evaluation`; a price flag is a usage error.
+    out = tmp_path / "out"
+    argv = {
+        "pipeline": ["pipeline", "--kind", "C", "--out-dir", out],
+        "sweep": ["sweep", "--kind", "C", "--out", out],
+        "eval": ["eval", "--dist", tmp_path / "d.csv", "--ref", tmp_path / "r.csv", "--out", out],
+    }[command]
+    with pytest.raises(SystemExit) as usage:
+        run(argv + ["--bytes-per-object", "64"])
+    assert usage.value.code == 2 and "--bytes-per-object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "local", "global", "relabel", "eval", "pipeline", "sweep"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        run([command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: distclust {command} ")
+
+
 def test_bad_budget_is_diagnosed(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(["gen", "--kind", "custom", "--seed", "0", "--n-points", "10",
@@ -319,7 +342,7 @@ def test_eval_cost_out_prices_the_objects_evaluated(tmp_path):
     header, row = cost_csv.read_text().splitlines()
     assert header == "frac,bytes_distributed,bytes_full,speedup"
     frac, bytes_distributed, bytes_full, speedup = row.split(",")
-    cost = transmission_cost(3, 5, CostModel())
+    cost = transmission_cost(3, 5)
     assert float(frac) == 3 / 5
     assert (int(bytes_distributed), int(bytes_full), float(speedup)) == (
         cost.bytes_distributed, cost.bytes_full, cost.speedup)

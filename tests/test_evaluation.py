@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
-from distclust import CostModel, InputError, evaluate, transmission_cost
+from distclust import InputError, evaluate, transmission_cost
 from distclust.evaluation import write_cost_csv
 
 
@@ -132,44 +132,36 @@ def test_ari_near_zero_for_independent_random_labelings(rng):
 # ----------------------------------------------------------- transmission cost
 
 def test_cost_ratio_between_17_and_5_percent():
-    model = CostModel(bytes_per_object=100, bytes_per_aggregate=4)
     n = 10_000
-    high = transmission_cost(1700, n, model)
-    low = transmission_cost(500, n, model)
+    high = transmission_cost(1700, n)
+    low = transmission_cost(500, n)
     assert high.bytes_distributed / low.bytes_distributed == 3.4
 
 
 def test_full_replication_is_slightly_worse_than_raw():
-    model = CostModel(bytes_per_object=100)
-    cost = transmission_cost(77, 77, model)
+    cost = transmission_cost(77, 77)
     assert cost.speedup == pytest.approx(100 / 108, rel=1e-12)
     assert cost.speedup < 1.0
 
 
 def test_zero_representatives():
-    cost = transmission_cost(0, 50, CostModel(bytes_per_object=100))
+    cost = transmission_cost(0, 50)
     assert cost.bytes_distributed == 0
     assert math.isinf(cost.speedup)
 
 
 def test_speedup_strictly_decreasing_in_n_reps():
-    model = CostModel(bytes_per_object=64, bytes_per_aggregate=4)
-    speedups = [transmission_cost(k, 100, model).speedup for k in range(0, 101)]
+    speedups = [transmission_cost(k, 100).speedup for k in range(0, 101)]
     assert all(a > b for a, b in zip(speedups, speedups[1:]))
 
 
 def test_cost_validation():
     with pytest.raises(InputError):
-        transmission_cost(5, 3, CostModel(bytes_per_object=10))
-    with pytest.raises(InputError):
-        CostModel(bytes_per_object=0)
-    for sizes in ((math.nan,), (2.5,), (math.inf,), (True, True), (100, 4.0)):
-        with pytest.raises(InputError, match="bytes_per"):
-            CostModel(*sizes)
+        transmission_cost(5, 3)
     with pytest.raises(InputError, match="n_reps"):
-        transmission_cost(2.5, 10, CostModel())
+        transmission_cost(2.5, 10)
     with pytest.raises(InputError, match="n_total"):
-        transmission_cost(2, 10.0, CostModel())
+        transmission_cost(2, 10.0)
 
 
 # --------------------------------------------------------------------- report
@@ -226,9 +218,8 @@ def test_non_integer_cluster_id_rejected(side, label):
 
 
 def test_cost_csv_format(tmp_path):
-    model = CostModel(bytes_per_object=100)
     path = tmp_path / "cost.csv"
-    write_cost_csv(0.05, transmission_cost(5, 100, model), path)
+    write_cost_csv(5, 100, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "frac,bytes_distributed,bytes_full,speedup"
     assert lines[1].startswith("0.05,540,10000,")

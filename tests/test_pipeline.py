@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -413,6 +414,21 @@ def test_config_validation():
         tiny_config(merge_order="random")
     with pytest.raises(InputError, match="epsilon"):
         tiny_config(epsilon=float("nan"))
+
+
+@pytest.mark.parametrize("budgets", [0.1, "0.1", np.array(0.1)], ids=["float", "string", "0-d-array"])
+def test_config_rejects_budgets_that_are_no_list(budgets):
+    # Named whole: a float has no items to iterate, and a string's first would be the budget '0'.
+    message = f"budgets must be a non-string iterable, got {budgets!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        tiny_config(budgets=budgets)
+
+
+def test_config_stores_an_array_of_budgets_as_a_tuple():
+    # An array's truth value is ambiguous; the config keeps its items as a tuple.
+    cfg = tiny_config(budgets=np.array([0.1, 0.2]))
+    assert type(cfg.budgets) is tuple and cfg.budgets == (0.1, 0.2)
+    assert [row.fraction for row in sweep(cfg)] == [0.1, 0.2]
 
 
 @pytest.mark.parametrize("field,value", [("n_sites", 2.5), ("n_sites", True), ("min_pts", 2.5),
