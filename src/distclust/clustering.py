@@ -7,9 +7,9 @@ them. With cov_rad = 0 and cov_cnt = 1 everywhere it degenerates term by term
 to the textbook algorithm that `reference_dbscan` computes as the centralized
 baseline. The two are independent algorithms over the same closed balls, each
 read from `BallIndex.pair_blocks`: the global clustering is a density expansion
-(`_expand`) over the directed reach graph at per-row radii, in which a zero-count
-record with a witness lists only the positive-count records (see `global_dbscan`);
-the reference is the core-graph components on a grid of epsilon/sqrt(d) cells.
+(`_expand`) over the directed reach graph at per-row radii, `BallIndex.graph`'s whole
+rows plus each witnessed zero-count record's pairs with the positive-count records (see
+`global_dbscan`); the reference is the core-graph components on a grid of epsilon/sqrt(d) cells.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -67,7 +67,8 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     A start representative whose weighted neighborhood stays below min_pts is
     labeled NOISE; it may still be absorbed later as a border member of a
     cluster. Expansion enqueues UNCLASSIFIED neighbors of core representatives
-    only. Deterministic: same input sequence and params, same labeling.
+    only. Deterministic: same input sequence and params, same labeling; a repeated
+    (site, seq) key, which cannot carry two labels, raises InputError.
 
     `_expand` runs over the reach graph, where row r lists every q with
     D(r, q) <= R(r): D is the `BallIndex.distances` float and R(r) = eps + cov_rad(r),
@@ -109,6 +110,10 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     counts = [r.cov_cnt for r in records]
     if sum(counts) >= 2**63:  # so no int64 weight sum can wrap
         raise InputError(f"cov_cnt must total below 2**63, got total {sum(counts)}")
+    if len({r.key for r in records}) < len(records):  # one key would carry two records' labels
+        seen = set()
+        repeated = next(r.key for r in records if r.key in seen or seen.add(r.key))
+        raise InputError(f"representative (site, seq) = {repeated} appears twice")
     weight = np.array(counts, dtype=np.int64)
     cov_rad = np.array([r.cov_rad for r in records])
     index = BallIndex(np.array([r.point.coords for r in records], dtype=np.float64))
@@ -123,33 +128,19 @@ def _reach_graph(index: BallIndex, radius: np.ndarray, cov_rad: np.ndarray,
     ball at its `radius`, in ascending columns, where a zero-count row with a witness keeps
     only its positive-count columns."""
     n = len(weight)
-    sizes = np.zeros(n, np.intp)
     # Zero-count rows against positive-count columns: this finds the witnesses.
     slack = (index.dim + 8) * 2.0**-50 * radius + 1e-150
     witnessed, kept = np.zeros(n, bool), [(np.zeros(0, np.intp),) * 2]
-    for start, stop, rows, cols, dist in index.pair_blocks(radius, np.flatnonzero(weight == 0),
-                                                           cols=np.flatnonzero(weight > 0)):
+    for _, _, rows, cols, dist in index.pair_blocks(radius, np.flatnonzero(weight == 0),
+                                                   cols=np.flatnonzero(weight > 0)):
         witnessed[rows[dist <= cov_rad[cols] - cov_rad[rows] - slack[cols]]] = True
-        rows, cols = rows[witnessed[rows]], cols[witnessed[rows]]
-        sizes[start:stop] = np.bincount(rows - start, minlength=stop - start)
-        kept.append((rows, cols))
+        kept.append((rows[witnessed[rows]], cols[witnessed[rows]]))
     kept_rows, kept_cols = map(np.concatenate, zip(*kept))
-    # Every other row is whole. Its pairs come in row order, and a cut row's pairs join
-    # them before the first whole row past it, so the columns fill one array in order.
-    whole = np.flatnonzero(~witnessed)
-    counts = index.candidates(radius, whole)
-    out = np.empty(counts.sum() + len(kept_cols), np.int32)
-    filled = taken = 0
-    for start, stop, rows, cols, _ in index.pair_blocks(radius, whole, counts=counts):
-        sizes[start:stop] += np.bincount(rows - start, minlength=stop - start)
-        upto = np.searchsorted(kept_rows, stop)
-        if upto > taken:
-            order = np.argsort(np.concatenate((rows, kept_rows[taken:upto])), kind="stable")
-            cols, taken = np.concatenate((cols, kept_cols[taken:upto]))[order], upto
-        out[filled:filled + len(cols)] = cols
-        filled += len(cols)
-    out[filled:filled + len(kept_cols) - taken] = kept_cols[taken:]
-    return np.concatenate(([0], sizes.cumsum())), out[:filled + len(kept_cols) - taken]
+    indptr, cols, _ = index.graph(radius, np.flatnonzero(~witnessed))
+    if len(kept_rows):  # a cut row is empty in `graph`, so its kept columns go in at its start
+        cols = np.insert(cols, indptr[kept_rows], kept_cols)
+        indptr[1:] += np.bincount(kept_rows, minlength=n).cumsum()
+    return indptr, cols
 
 
 def reference_dbscan(ds: Dataset, params: GlobalParams) -> Labeling:

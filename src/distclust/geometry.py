@@ -1,9 +1,9 @@
 """Points, datasets, and the closed-ball range index with its Euclidean distance.
 
 Every neighborhood in the pipeline is a row's closed ball from `BallIndex.pair_blocks` (and
-so from `graph`, which also sums each row's margins), at one radius or one per row, among
-all rows or a subset of them, cut by the one distance formula of `BallIndex.distances`. A
-point at distance exactly ``radius`` from the center is included, in every dimension.
+so from `graph`, which also sums each row's margins), at one radius or one per row, of all
+rows or any ascending subset of them, cut by the one distance formula of `BallIndex.distances`.
+A point at distance exactly ``radius`` from the center is included, in every dimension.
 """
 
 from __future__ import annotations
@@ -127,20 +127,12 @@ class BallIndex:
             square += diff[:, k]
         return np.sqrt(square)
 
-    def candidates(self, radius: float | np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per row of ascending positions `rows` (default: all), how many rows the tree finds in its
-        ball at `radius` (one, or one per row of the index), slightly inflated: at least the ball's
-        size, so their sum bounds the pairs `pair_blocks` lists and can size its output."""
-        radius = self._check_radius(radius)
-        rows = np.arange(len(self.coords)) if rows is None else np.asarray(rows, dtype=np.intp)
-        return self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]), return_length=True)
-
     def pair_blocks(self, radius: float | np.ndarray, rows: np.ndarray | None = None,
                     cols: np.ndarray | None = None, counts: np.ndarray | None = None
                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
         """The closed balls of ascending positions `rows` (default: all) at `radius` (one, or one per
         row of the index), cut to the ascending positions `cols` (default: all), in blocks of about
-        `GRAPH_BLOCK_PAIRS` candidates (`counts`, if known; from `candidates` when `cols` is all):
+        `GRAPH_BLOCK_PAIRS` candidates (`counts`, per row, if known):
         per block of rows in start..stop-1, (start, stop, rows, cols, distances), pairs by row, then col."""
         radius, n = self._check_radius(radius), len(self.coords)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -162,22 +154,24 @@ class BallIndex:
             keep = dist <= radius[pair_rows]
             yield block[0], block[-1] + 1, pair_rows[keep], pair_cols[keep], dist[keep]
 
-    def graph(self, radius: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR arrays (indptr, cols) of every row's closed ball (`radius`: one, or one per row):
-        row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]] are the rows of its ball.
-        Third, each row's margin sum: radius - d over its ball, added from 0.0 in column order."""
-        radius = self._check_radius(radius)
-        # The candidate count bounds the columns, so they fill one array in place.
-        counts = self.candidates(radius)
+    def graph(self, radius: float | np.ndarray, rows: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, cols) of the closed balls of ascending positions `rows` (default: all)
+        at `radius` (one, or one per row): row i's ascending int32 positions cols[indptr[i]:indptr[i + 1]]
+        are the rows of its ball, and every row outside `rows` is empty. Third, each row's margin sum:
+        radius - d over its ball, added from 0.0 in column order."""
+        radius, n = self._check_radius(radius), len(self.coords)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        # The tree's candidate count bounds the columns, so they fill one array in place.
+        counts = self._tree.query_ball_point(self.coords[rows], _inflate(radius[rows]), return_length=True)
         cols = np.empty(counts.sum(), np.int32)
-        filled, sizes, sums = 0, [[0]], [np.zeros(0)]
-        for start, stop, rows, block, dist in self.pair_blocks(radius, counts=counts):
-            margin, rows = radius[rows] - dist, rows - start
-            sizes.append(np.bincount(rows, minlength=stop - start))
-            sums.append(np.bincount(rows, weights=margin, minlength=stop - start))
+        sizes, sums, filled = np.zeros(n, np.intp), np.zeros(n), 0
+        for start, stop, pair_rows, block, dist in self.pair_blocks(radius, rows, counts=counts):
+            sizes[start:stop] = np.bincount(pair_rows - start, minlength=stop - start)
+            sums[start:stop] = np.bincount(pair_rows - start, radius[pair_rows] - dist, stop - start)
             cols[filled:filled + len(block)] = block
             filled += len(block)
-        return np.concatenate(sizes).cumsum(), cols[:filled], np.concatenate(sums)
+        return np.concatenate(([0], sizes.cumsum())), cols[:filled], sums
 
     def _check_radius(self, radius: float | np.ndarray) -> np.ndarray:
         # One radius per row; an infinite one would ask for all n * n pairs.

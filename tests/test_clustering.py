@@ -244,6 +244,16 @@ def test_multi_site_keys_preserved():
     assert set(labeling.labels) == {(2, 0), (7, 0)}
 
 
+def test_repeated_key_rejected():
+    # a is core with c, but b shares a's key and is noise: one label cannot be right for both.
+    a, b, c = (rec(xy, cov_rad=0.5, cov_cnt=5, seq=seq) for xy, seq in
+               (((0.0, 0.0), 0), ((50.0, 50.0), 0), ((0.1, 0.0), 1)))
+    with pytest.raises(InputError, match=r"representative \(site, seq\) = \(0, 0\) appears twice"):
+        global_dbscan([a, b, c], GlobalParams(1.0, 6))
+    with pytest.raises(InputError, match=r"\(0, 1\) appears twice"):
+        global_dbscan([c, a, c, b], GlobalParams(1.0, 6))
+
+
 def test_mixed_dimension_records_rejected():
     reps = [rec((0.0, 0.0), seq=0),
             RepresentativeRecord(Point(1, (0.0, 0.0, 0.0)), 0.0, 1, 0, 1)]

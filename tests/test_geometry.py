@@ -263,7 +263,15 @@ def test_pair_blocks_of_a_subset_are_the_full_pairs_of_those_rows(rng, monkeypat
     for radius in (0.0, 1.5, rng.uniform(0, 3, 80)):
         full = {(r, c): d for _, _, rows, cols, dist in idx.pair_blocks(radius)
                 for r, c, d in zip(rows.tolist(), cols.tolist(), dist.tolist())}
+        full_indptr, full_cols, full_sums = idx.graph(radius)
         for subset in subsets:
+            # The subset's graph rows are the full graph's; every other row is empty, the rows
+            # between two blocks of the subset included.
+            indptr, cols, sums = idx.graph(radius, subset)
+            assert indptr[0] == 0 and cols.dtype == np.int32
+            assert [cols[indptr[r]:indptr[r + 1]].tolist() for r in range(80)] == [
+                full_cols[full_indptr[r]:full_indptr[r + 1]].tolist() if r in subset else [] for r in range(80)]
+            assert sums.tolist() == [full_sums[r] if r in subset else 0.0 for r in range(80)]
             for columns in (None, *subsets):
                 got, last = {}, 0
                 for start, stop, rows, cols, dist in idx.pair_blocks(radius, subset, cols=columns):
