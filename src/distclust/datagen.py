@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import GlobalParams
 from .errors import InputError
-from .geometry import Dataset, check_count, is_real
+from .geometry import Dataset, check_count, real_float
 
 Bounds = tuple[tuple[float, float], ...]
 
@@ -42,27 +42,26 @@ class DatasetSpec:
         check_count(self.n_points, "n_points")
         check_count(self.n_clusters, "n_clusters", 0)
         check_count(self.seed, "seed", 0)
-        if not (is_real(self.noise_fraction) and 0.0 <= self.noise_fraction <= 1.0):
+        if not 0.0 <= real_float(self.noise_fraction) <= 1.0:
             raise InputError(f"noise_fraction must be a number in [0, 1], got {self.noise_fraction!r}")
         if not _is_bounds(self.bounds):
             raise InputError(f"bad bounds {self.bounds!r}: need one axis or more, "
                              f"each a pair of real numbers lo < hi with a finite span")
-        sigma = tuple(self.sigma_range) if isinstance(self.sigma_range, (tuple, list)) else ()
-        if not (len(sigma) == 2 and all(map(is_real, sigma)) and 0.0 <= sigma[0] <= sigma[1] < math.inf):
+        sigma = tuple(map(real_float, self.sigma_range)) if isinstance(self.sigma_range, (tuple, list)) else ()
+        if not (len(sigma) == 2 and 0.0 <= sigma[0] <= sigma[1] < math.inf):
             raise InputError(f"sigma_range must be two finite numbers with 0 <= low <= high, "
                              f"got {self.sigma_range!r}")
-        if not (is_real(self.min_center_separation) and 0.0 <= self.min_center_separation < math.inf):
+        if not 0.0 <= real_float(self.min_center_separation) < math.inf:
             raise InputError(f"min_center_separation must be finite and >= 0, "
                              f"got {self.min_center_separation!r}")
 
 
 def _is_bounds(bounds) -> bool:
     try:
-        axes = [(lo, hi) for lo, hi in bounds]
+        axes = [(real_float(lo), real_float(hi)) for lo, hi in bounds]
     except (TypeError, ValueError):  # not a sequence of pairs
         return False
-    return bool(axes) and all(is_real(lo) and is_real(hi) and lo < hi and math.isfinite(hi - lo)
-                              for lo, hi in axes)
+    return bool(axes) and all(lo < hi and math.isfinite(hi - lo) for lo, hi in axes)
 
 
 # Shipped dataset kinds. Cardinalities are fixed; the geometry knobs were

@@ -4,6 +4,7 @@ Every neighborhood in the pipeline is a row's closed ball from `BallIndex.pair_b
 so from `graph`, which also sums each row's margins), at one radius or one per row, of all
 rows or any ascending subset of them, cut by the one distance formula of `BallIndex.distances`.
 A point at distance exactly ``radius`` from the center is included, in every dimension.
+Every scalar real input of the package is read by `real_float`, and every scalar integer by `check_count`.
 """
 
 from __future__ import annotations
@@ -31,24 +32,19 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise InputError(f"point id must be an integer >= 0, got {self.id!r}")
+        object.__setattr__(self, "id", check_count(self.id, "point id", 0))
         coords = tuple(map(real_float, self.coords))
         if not coords or not all(map(math.isfinite, coords)):
             raise InputError(f"point {self.id}: coords must be one or more finite numbers, got {self.coords!r}")
         object.__setattr__(self, "coords", coords)
 
 
-def is_real(value) -> bool:
-    """Whether `value` is a real number; numpy floats and integers count, bools do not.
-    Python floats and ints match before the ABC, whose check is far slower."""
-    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-
-
 def real_float(value) -> float:
-    """`value` as a float if it is a real number (see `is_real`) within the float range, else nan."""
+    """`value` as a float if it is a real number within the float range, else nan: numpy floats and
+    integers count, bools and strings do not. Python floats and ints match before the slow ABC."""
     try:
-        return float(value) if is_real(value) else math.nan
+        real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+        return float(value) if real else math.nan
     except OverflowError:  # an integer past the float range
         return math.nan
 
@@ -75,8 +71,9 @@ class Dataset:
     def __init__(self, ids: Sequence[int] | np.ndarray, coords: Sequence[Sequence[float]] | np.ndarray):
         try:
             ids, coords = np.asarray(ids), np.asarray(coords, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise InputError(f"dataset ids and coordinates must be rectangular arrays: {e}") from None
+        except (TypeError, ValueError, OverflowError) as e:  # ragged, text, or past the float range
+            raise InputError(f"dataset ids and coordinates must be rectangular arrays, "
+                             f"the coordinates finite real numbers: {e}") from None
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise InputError(f"coordinates must be an (n, d) array with d >= 1, got shape {coords.shape}")
         if ids.shape != (len(coords),):

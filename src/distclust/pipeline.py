@@ -10,6 +10,7 @@ dataset with the same parameters.
 
 from __future__ import annotations
 
+import math
 import multiprocessing.forkserver
 import numbers
 import os
@@ -28,7 +29,7 @@ from .clustering import GlobalParams, Labeling, global_dbscan, reference_dbscan
 from .datagen import DatasetSpec, generate
 from .errors import InputError
 from .evaluation import QualityReport, TransmissionCost, evaluate, transmission_cost
-from .geometry import Dataset, check_count, is_real
+from .geometry import Dataset, check_count, real_float
 from .relabel import LocalLabeling, relabel_site
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 from .tables import write_table
@@ -74,7 +75,7 @@ def budget_to_stop(budget: Budget) -> StopCriterion:
     fraction; numpy's numbers count too."""
     if isinstance(budget, numbers.Integral):
         return StopCriterion.size(budget)  # which rejects bools
-    if is_real(budget):
+    if not math.isnan(real_float(budget)):
         return StopCriterion.fraction(budget)
     raise InputError(f"bad budget {budget!r}")
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
-from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon, is_real, real_float
+from .geometry import BallIndex, Dataset, Point, check_count, check_epsilon, real_float
 from .tables import read_text
 
 RESCORE_BATCH = 64  # most rows `SelectionState` re-scores in one pass
@@ -68,7 +68,7 @@ class StopCriterion:
         if self.max_count is not None:
             check_count(self.max_count, "size bound")
         frac, theta = self.max_fraction, self.theta
-        if frac is not None and not (is_real(frac) and 0.0 < frac <= 1.0):
+        if frac is not None and not 0.0 < real_float(frac) <= 1.0:
             raise InputError(f"fraction bound must be a number in (0, 1], got {frac!r}")
         if theta is not None and not 0 <= real_float(theta) < math.inf:
             raise InputError(f"theta must be a finite number >= 0, got {theta!r}")

@@ -77,16 +77,16 @@ def test_invalid_specs_rejected():
             with pytest.raises(InputError, match=f"{field} must be an integer"):
                 DatasetSpec(**{field: value})
     for sigma_range in ((-1.0, -0.5), (-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0,),
-                        "ab", ("a", "b"), (True, True), (1.0, False), 2.0, None):
+                        "ab", ("a", "b"), (True, True), (1.0, False), 2.0, None, (0, 10**400)):
         with pytest.raises(InputError, match="sigma_range"):
             DatasetSpec(sigma_range=sigma_range)
-    for axis in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308)):
+    for axis in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (0, 10**400)):
         with pytest.raises(InputError, match="bounds"):
             DatasetSpec(bounds=(axis, (0.0, 1.0)))
     for bounds in ((), ((0.0,),), ((0.0, 1.0, 2.0),), (("a", "b"),)):
         with pytest.raises(InputError, match="bounds"):
             DatasetSpec(bounds=bounds)
-    for separation in (math.nan, math.inf, -1.0, "3", True, None):
+    for separation in (math.nan, math.inf, -1.0, "3", True, None, 10**400):
         for n_clusters in (1, 2):
             with pytest.raises(InputError, match="min_center_separation"):
                 DatasetSpec(n_clusters=n_clusters, min_center_separation=separation)

@@ -26,6 +26,10 @@ def test_point_rejects_negative_id():
         Point(-1, (0.0,))
     with pytest.raises(InputError, match="point id must be an integer >= 0, got True"):
         Point(True, (0.0,))
+    with pytest.raises(InputError, match="point id must be an integer"):
+        Point(np.True_, (0.0,))
+    point = Point(np.int64(3), (0.0,))
+    assert point.id == 3 and type(point.id) is int
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -60,8 +64,9 @@ def test_empty_dataset_needs_dim():
     ([2**70], [[0.0]]),
     ([1.5], [[0.0]]),                      # not an integer
     ([0], [["x"]]),
+    ([0], [[10**400]]),                    # past the float range
 ], ids=["long-ids", "short-ids", "2d-ids", "1d-coords", "no-columns", "nan", "inf",
-        "negative", "2**63", "2**70", "float-id", "text"])
+        "negative", "2**63", "2**70", "float-id", "text", "10**400"])
 def test_dataset_rejects_bad_arrays(ids, coords):
     with pytest.raises(InputError):
         Dataset(ids, coords)
