@@ -9,7 +9,7 @@ baseline. The two are independent algorithms over the same closed balls, each
 read from `BallIndex.pair_blocks`: the global clustering is a density expansion
 (`_expand`) over the directed reach graph at per-row radii, `BallIndex.graph`'s whole
 rows plus each witnessed zero-count record's pairs with the positive-count records (see
-`global_dbscan`); the reference is the core-graph components on a grid of epsilon/sqrt(d) cells.
+`global_labels`); the reference is the core-graph components on a grid of epsilon/sqrt(d) cells.
 
 Cluster ids: -1 marks UNCLASSIFIED (never survives a completed run), 0 is
 NOISE, and real clusters are numbered 1..K in discovery order.
@@ -61,8 +61,14 @@ class Labeling:
 
 
 def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> Labeling:
+    """`global_labels` keyed by each representative's (site, seq)."""
+    records = list(reps)
+    return Labeling(dict(zip((rec.key for rec in records), global_labels(records, params).tolist())))
+
+
+def global_labels(reps: Sequence[RepresentativeRecord], params: GlobalParams) -> np.ndarray:
     """Cluster representatives in input order with per-representative enlarged
-    radii and cov_cnt-weighted core tests.
+    radii and cov_cnt-weighted core tests; one int64 label per representative, in input order.
 
     A start representative whose weighted neighborhood stays below min_pts is
     labeled NOISE; it may still be absorbed later as a border member of a
@@ -103,7 +109,7 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     """
     records = list(reps)
     if not records:
-        return Labeling({})
+        return np.zeros(0, np.int64)
     dims = {len(r.point.coords) for r in records}
     if len(dims) != 1:
         raise InputError(f"representatives have mixed dimensions {sorted(dims)}")
@@ -118,8 +124,7 @@ def global_dbscan(reps: Sequence[RepresentativeRecord], params: GlobalParams) ->
     cov_rad = np.array([r.cov_rad for r in records])
     index = BallIndex(np.array([r.point.coords for r in records], dtype=np.float64))
     indptr, cols = _reach_graph(index, params.epsilon + cov_rad, cov_rad, weight)
-    labels = _expand(indptr, cols, weight, params.min_pts)
-    return Labeling({rec.key: label for rec, label in zip(records, labels)})
+    return np.array(_expand(indptr, cols, weight, params.min_pts), np.int64)
 
 
 def _reach_graph(index: BallIndex, radius: np.ndarray, cov_rad: np.ndarray,
@@ -144,12 +149,18 @@ def _reach_graph(index: BallIndex, radius: np.ndarray, cov_rad: np.ndarray,
 
 
 def reference_dbscan(ds: Dataset, params: GlobalParams) -> Labeling:
+    """`reference_labels` keyed by object id."""
+    return Labeling(dict(zip(ds.ids.tolist(), reference_labels(ds, params).tolist())))
+
+
+def reference_labels(ds: Dataset, params: GlobalParams) -> np.ndarray:
     """Textbook density-based clustering of the full dataset (closed epsilon-balls;
     a point is core when its ball, itself included, holds min_pts points), in
     the closed form of the loop that visits points in dataset order (Gan & Tao,
     SIGMOD 2015): the components of the core-core epsilon graph, numbered by
     their lowest core row; a border point joins the lowest-numbered cluster
-    among its core neighbors; the rest is noise. The centralized baseline.
+    among its core neighbors; the rest is noise. The centralized baseline: one
+    int64 label per row.
 
     On a grid of cells under epsilon/sqrt(d) wide, a cell of min_pts rows is all core and joined:
     its lowest row (witness) lists pairs, the rest only when no witness joins it to a near dense cell.
@@ -167,14 +178,14 @@ def reference_dbscan(ds: Dataset, params: GlobalParams) -> Labeling:
         join = ((cols < stop) | dense[cols]) & core[rows] & core[cols]  # both core flags known
         comp = _merge(comp, comp[rows[join]], comp[cols[join]])
     comp = _join_dense_cells(index, comp, core, name, listed[dense[listed]], centre, params.epsilon)
-    del index, name, size, centre  # not held while the labels and their dict are built
+    del index, name, size, centre  # not held while the labels are built
     labels = np.zeros(n, dtype=np.int64)
     labels[core] = np.unique(comp[core], return_inverse=True)[1] + 1
     rows, cols = map(np.concatenate, zip(*loose))
     rows, cols = rows[core[cols]], cols[core[cols]]
     labels[rows] = n  # above every cluster id, lowered to the least one reached
     np.minimum.at(labels, rows, labels[cols])
-    return Labeling(dict(zip(ds.ids.tolist(), labels.tolist())))
+    return labels
 
 
 def _cells(coords: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

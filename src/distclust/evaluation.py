@@ -1,9 +1,10 @@
 """Quality of a distributed labeling against a centralized one, and the transmission cost.
 
-`evaluate` is the one scorer: from one contingency table it gives the headline
-matching quality (distributed and reference clusters matched one-to-one by
-maximum overlap, noise only to noise, scoring the fraction of objects that land
-consistently) and the adjusted Rand index, a matching-free cross-check.
+`score` is the one scorer, on label arrays; `evaluate` is its edge for labelings keyed by
+object id. From one contingency table it gives the headline matching quality (distributed
+and reference clusters matched one-to-one by maximum overlap, noise only to noise, scoring
+the fraction of objects that land consistently) and the adjusted Rand index, a
+matching-free cross-check.
 
 The cost is priced at fixed sizes: a raw object is `BYTES_PER_OBJECT` bytes, and a
 representative is one object plus its two aggregates (`cov_rad`, `cov_cnt`) of
@@ -51,9 +52,8 @@ class TransmissionCost:
     speedup: float
 
 
-def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The contingency table of two labelings of the same ids: sorted distributed
-    cluster ids, sorted reference ids and the int64 object count of each cell."""
+def label_arrays(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two labelings of the same ids as int64 arrays, both in the order of dist's ids."""
     if dist.keys() != ref.keys():  # set comparison of the key views, nothing copied
         raise InputError(f"labelings cover different id sets ({len(dist.keys() - ref.keys())} extra "
                          f"distributed, {len(ref.keys() - dist.keys())} extra reference)")
@@ -70,6 +70,12 @@ def _table(dist: Mapping[int, int], ref: Mapping[int, int]) -> tuple[np.ndarray,
     for labels in (d, r):
         if (labels < 0).any():
             raise InputError(f"labeling contains negative cluster ids, e.g. {labels[labels < 0][0]}")
+    return d, r
+
+
+def _table(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contingency table of two labelings of the same objects, as arrays of cluster ids >= 0:
+    sorted distributed cluster ids, sorted reference ids and the int64 object count of each cell."""
     d_ids, d_row = np.unique(d, return_inverse=True)
     r_ids, r_col = np.unique(r, return_inverse=True)
     cells = np.bincount(d_row * len(r_ids) + r_col, minlength=len(d_ids) * len(r_ids))
@@ -115,7 +121,13 @@ def transmission_cost(n_reps: int, n_total: int) -> TransmissionCost:
 
 
 def evaluate(dist: Mapping[int, int], ref: Mapping[int, int]) -> QualityReport:
-    """Score a distributed labeling against the reference; both map the same ids to cluster ids >= 0.
+    """`score` of a distributed labeling against the reference; both map the same ids to cluster ids >= 0."""
+    return score(*label_arrays(dist, ref))
+
+
+def score(dist: np.ndarray, ref: np.ndarray) -> QualityReport:
+    """Score a distributed labeling against the reference, as int64 arrays of cluster ids >= 0 of the
+    same objects in the same order.
 
     `matching_quality` is the fraction of objects labeled consistently under the best one-to-one
     matching of distributed to reference clusters, where noise matches only noise. `adjusted_rand`

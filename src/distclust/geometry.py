@@ -70,10 +70,17 @@ class Dataset:
 
     def __init__(self, ids: Sequence[int] | np.ndarray, coords: Sequence[Sequence[float]] | np.ndarray):
         try:
-            ids, coords = np.asarray(ids), np.asarray(coords, dtype=np.float64)
+            ids, floats = np.asarray(ids), np.asarray(coords, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as e:  # ragged, text, or past the float range
             raise InputError(f"dataset ids and coordinates must be rectangular arrays, "
                              f"the coordinates finite real numbers: {e}") from None
+        if not (isinstance(coords, np.ndarray) and coords.dtype.kind in "iuf"):
+            # Only these can hold a bool or a numeric string, which the conversion takes as a number.
+            values = np.asarray(coords, dtype=object).ravel()
+            unreal = np.isnan([real_float(v) for v in values]) & ~np.isnan(floats.ravel())
+            if unreal.any():
+                raise InputError(f"coordinates must be real numbers, got {values[unreal.argmax()]!r}")
+        coords = floats
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise InputError(f"coordinates must be an (n, d) array with d >= 1, got shape {coords.shape}")
         if ids.shape != (len(coords),):

@@ -25,12 +25,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clustering import GlobalParams, Labeling, global_dbscan, reference_dbscan
+from .clustering import NOISE, GlobalParams, Labeling, global_labels, reference_labels
 from .datagen import DatasetSpec, generate
 from .errors import InputError
-from .evaluation import QualityReport, TransmissionCost, evaluate, transmission_cost
+from .evaluation import QualityReport, TransmissionCost, label_arrays, score, transmission_cost
 from .geometry import Dataset, check_count, real_float
-from .relabel import LocalLabeling, relabel_site
+from .relabel import LocalLabeling, owner_labels
 from .representatives import RepresentativeRecord, SelectionState, StopCriterion
 from .tables import write_table
 
@@ -146,11 +146,12 @@ class PipelineResult:
 
 
 def _select_site(site_ds: Dataset, epsilon: float, limit: int, site: int):
-    # Records, owners, and the seconds (init included) at each emission and in total.
+    # Records, the ids in id order and their owner seqs, and the seconds (init included) at each
+    # emission and in total.
     t0 = time.perf_counter()
     state = SelectionState(site_ds, epsilon, site=site)
     stamps = [time.perf_counter() - t0 for _ in state.run(StopCriterion.size(limit))]
-    return state.chosen, state.coverage_owner, stamps, time.perf_counter() - t0
+    return state.chosen, state.ids, state.owner, stamps, time.perf_counter() - t0
 
 
 def _worker_context():
@@ -180,15 +181,51 @@ def run_pipeline(cfg: ExperimentConfig, *, dataset: Dataset | None = None,
     config's spec and params.
     """
     ds = dataset if dataset is not None else generate(cfg.dataset)
-    reference = reference if reference is not None else reference_dbscan(ds, cfg.params)
-    return next(_runs(cfg, ds, [budget_to_stop(cfg.budgets[0])], reference))
+    if reference is None:
+        ref = reference_labels(ds, cfg.params)
+        reference = Labeling(dict(zip(ds.ids.tolist(), ref.tolist())))
+    else:  # checked as `evaluate` checks it: the dataset's ids, to cluster ids >= 0
+        ref = label_arrays(dict.fromkeys(ds.ids.tolist(), NOISE), reference.labels)[1]
+    run = next(_runs(cfg, ds, [budget_to_stop(cfg.budgets[0])], ref))
+    local_labelings = [
+        LocalLabeling(dict(zip(ids.tolist(), labels.tolist())),
+                      {oid: (k, seq) for oid, seq in zip(ids.tolist(), owner.tolist()) if 0 <= seq < count})
+        for k, (ids, owner, labels, count) in enumerate(zip(run.ids, run.owners, run.labels,
+                                                             map(len, run.site_records)))]
+    return PipelineResult(
+        dataset=ds, sites=run.sites, site_records=run.site_records, merged=run.merged,
+        global_labeling=Labeling(dict(zip((rec.key for rec in run.merged), run.global_labels.tolist()))),
+        local_labelings=local_labelings,
+        distributed={oid: label for local in local_labelings for oid, label in local.labels.items()},
+        reference=reference, report=run.report, cost=run.cost,
+        site_seconds=run.site_seconds, global_seconds=run.global_seconds,
+    )
+
+
+@dataclass
+class _Run:
+    """One budget's run, its labels as arrays. Per site: its ids in id order (`ids`), each one's
+    owner seq in the full stream or -1 (`owners`), and its cluster id (`labels`)."""
+
+    sites: list[Dataset]
+    site_records: list[list[RepresentativeRecord]]
+    merged: list[RepresentativeRecord]
+    global_labels: np.ndarray  # in merged order
+    ids: list[np.ndarray]
+    owners: list[np.ndarray]
+    labels: list[np.ndarray]
+    report: QualityReport
+    cost: TransmissionCost
+    site_seconds: tuple[float, ...]
+    global_seconds: float
 
 
 def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
-          reference: Labeling) -> Iterator[PipelineResult]:
-    """One run per budget, in order, from one selection per site at its largest
-    count. Streams are prefix-stable: a budget of k records takes the first k,
-    their owners (the rest is uncovered) and the seconds until the k-th."""
+          reference: np.ndarray) -> Iterator[_Run]:
+    """One run per budget, in order, from one selection per site at its largest count, scored
+    against `reference`, the labels of the dataset's rows. Streams are prefix-stable: a budget of
+    k records takes the first k, their owners (an object owned by seq k or later is uncovered)
+    and the seconds until the k-th."""
     sites = partition(ds, cfg.n_sites, cfg.seed)
     limits = [[stop.resolve_count(len(site)) for site in sites] for stop in stops]
     site_args = (sites, repeat(cfg.epsilon), map(max, zip(*limits)), range(cfg.n_sites))
@@ -198,31 +235,25 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
             outcomes = list(pool.map(_select_site, *site_args))
     else:
         outcomes = list(map(_select_site, *site_args))
+    streams, ids, owners, stamps, totals = zip(*outcomes)
+    by_id = np.argsort(ds.ids)  # the reference in the order of the sites' ids, read once
+    reference = reference[by_id[np.searchsorted(ds.ids, np.concatenate(ids), sorter=by_id)]]
 
     for counts in limits:
-        site_records, owners, site_seconds = zip(*(
-            (recs, own, total) if k >= len(recs) else
-            (recs[:k], {o: q for o, q in own.items() if q < k}, stamps[k - 1])
-            for (recs, own, stamps, total), k in zip(outcomes, counts)))
+        site_records = [recs[:k] for recs, k in zip(streams, counts)]
+        site_seconds = tuple(total if k >= len(recs) else times[k - 1]
+                             for recs, times, total, k in zip(streams, stamps, totals, counts))
         merged = merge_streams(site_records, cfg.merge_order)
         t0 = time.perf_counter()
-        global_labeling = global_dbscan(merged, cfg.params)
+        labels = global_labels(merged, cfg.params)
         global_seconds = time.perf_counter() - t0
-
-        local_labelings = [relabel_site(site.ids.tolist(), owners[k], global_labeling, k)
-                           for k, site in enumerate(sites)]
-        distributed: dict[int, int] = {}
-        for labeling in local_labelings:
-            distributed.update(labeling.labels)
-
-        report = evaluate(distributed, reference.labels)
-        cost = transmission_cost(len(merged), len(ds))
-        yield PipelineResult(
-            dataset=ds, sites=sites, site_records=list(site_records), merged=merged,
-            global_labeling=global_labeling, local_labelings=local_labelings,
-            distributed=distributed, reference=reference, report=report, cost=cost,
-            site_seconds=site_seconds, global_seconds=global_seconds,
-        )
+        # Each site's global labels by seq: the labels in (site, seq) order, cut at each site's count.
+        keys = np.array([rec.key for rec in merged], np.intp).reshape(-1, 2)
+        by_seq = np.split(labels[np.lexsort(keys.T[::-1])], np.cumsum(list(map(len, site_records)))[:-1])
+        local = [owner_labels(owner, seq_labels) for owner, seq_labels in zip(owners, by_seq)]
+        yield _Run(sites, site_records, merged, labels, list(ids), list(owners), local,
+                   score(np.concatenate(local), reference), transmission_cost(len(merged), len(ds)),
+                   site_seconds, global_seconds)
 
 
 @dataclass(frozen=True)
@@ -239,8 +270,8 @@ def sweep(cfg: ExperimentConfig, *, site_counts: Sequence[int] | None = None) ->
     """One row per (site count, budget) cell, the config's budgets inner and as given.
 
     The dataset is generated and the reference clustered once. Per site count,
-    each site selects once and every budget is sliced from its stream; a row's
-    `cpu_time` is what a run at that budget alone costs.
+    each site selects once and every budget is sliced from its stream and scored
+    from label arrays; a row's `cpu_time` is what a run at that budget alone costs.
     """
     site_counts = tuple(site_counts) if site_counts is not None else (cfg.n_sites,)
     if not site_counts:
@@ -248,14 +279,14 @@ def sweep(cfg: ExperimentConfig, *, site_counts: Sequence[int] | None = None) ->
 
     stops = [budget_to_stop(budget) for budget in cfg.budgets]
     ds = generate(cfg.dataset)
-    reference = reference_dbscan(ds, cfg.params)
+    reference = reference_labels(ds, cfg.params)
     rows = []
     for n_sites in site_counts:
-        results = _runs(replace(cfg, n_sites=n_sites), ds, stops, reference)
-        for budget, result in zip(cfg.budgets, results):
-            rows.append(SweepRow(budget, n_sites, result.report.matching_quality,
-                                 result.cost.bytes_distributed, result.cost.speedup,
-                                 result.cpu_seconds))
+        runs = _runs(replace(cfg, n_sites=n_sites), ds, stops, reference)
+        for budget, run in zip(cfg.budgets, runs):
+            rows.append(SweepRow(budget, n_sites, run.report.matching_quality,
+                                 run.cost.bytes_distributed, run.cost.speedup,
+                                 max(run.site_seconds) + run.global_seconds))  # as `cpu_seconds`
     return rows
 
 

@@ -9,8 +9,11 @@ what the transmitted stream can reconstruct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .clustering import NOISE, Labeling
 from .errors import ConsistencyError
@@ -30,9 +33,16 @@ class LocalLabeling:
     provenance: dict[int, tuple[int, int]]
 
 
+def owner_labels(owner: np.ndarray, seq_labels: np.ndarray) -> np.ndarray:
+    """The relabel rule, on arrays: each object's cluster id is `seq_labels[seq]`, the global label
+    of its owner seq; NOISE where the owner is -1 (uncovered) or at least len(seq_labels), a
+    representative past the transmitted prefix."""
+    return np.append(seq_labels, NOISE)[np.where(owner < len(seq_labels), owner, -1)]
+
+
 def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
                  global_labeling: Labeling, site: int) -> LocalLabeling:
-    """Label every object of one site from the global clustering.
+    """Label every object of one site from the global clustering, by `owner_labels`.
 
     coverage_owner maps object id to the seq of the representative that first
     covered it; objects absent from it get NOISE. Raises ConsistencyError when
@@ -41,28 +51,27 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
     site does not hold (ownership of another site); InputError unless site is an integer >= 0.
     """
     check_count(site, "site", 0)
-    labels: dict[int, int] = {}
-    provenance: dict[int, tuple[int, int]] = {}
-    for oid in site_ids:
-        seq = coverage_owner.get(oid)
-        if seq is None:
-            labels[oid] = NOISE
-            continue
-        key = (site, seq)
-        if key not in global_labeling.labels:
+    ids = list(site_ids)
+    owned = list(map(coverage_owner.get, ids))  # each object's owner seq, None if uncovered
+    provenance = {oid: (site, seq) for oid, seq in zip(ids, owned) if seq is not None}
+    # The distinct owner seqs by first use, so that the first unlabeled one is the first object's.
+    seqs = [seq for seq in dict.fromkeys(owned) if seq is not None]
+    for seq in seqs:
+        if (site, seq) not in global_labeling.labels:
             raise ConsistencyError(
-                f"object {oid} is owned by representative {key}, "
+                f"object {ids[owned.index(seq)]} is owned by representative {(site, seq)}, "
                 "which has no global label (truncated stream?)"
             )
-        labels[oid] = global_labeling.labels[key]
-        provenance[oid] = key
     if len(provenance) != len(coverage_owner):
-        foreign = sorted(set(coverage_owner) - labels.keys())
+        foreign = sorted(coverage_owner.keys() - provenance.keys())
         raise ConsistencyError(
             f"ownership names {len(foreign)} object(s) site {site} does not hold, "
             f"e.g. {foreign[:3]} (ownership of another site?)"
         )
-    return LocalLabeling(labels, provenance)
+    slot = dict(zip(seqs, range(len(seqs))))  # owner seq -> its index into the labels of `seqs`
+    owner = np.fromiter(map(slot.get, owned, repeat(-1)), np.intp, len(owned))
+    labels = owner_labels(owner, np.array([global_labeling.labels[(site, seq)] for seq in seqs], np.int64))
+    return LocalLabeling(dict(zip(ids, labels.tolist())), provenance)
 
 
 def save_local_labels_csv(labeling: LocalLabeling, path: str | Path) -> None:

@@ -97,7 +97,8 @@ class StopCriterion:
 class SelectionState:
     """Mutable state of one site's greedy selection, its objects in id order (`ids`) whatever
     the dataset's row order. Their closed epsilon-balls are built once, as `BallIndex.graph` rows
-    of int32 positions; a score reads a row and its covered flags and recomputes the distances.
+    of int32 positions; a score reads a row and its uncovered objects (`owner` -1) and recomputes
+    the distances.
 
     `_score` holds every candidate's exact dynamic quality, positions in id order, and -inf for
     an object `run` has already picked; the first scores, the static qualities, are the graph's
@@ -106,7 +107,8 @@ class SelectionState:
     are the newly covered objects' own rows. Already covered objects stay candidates; once the
     best score is 0.0 all objects are covered, and the rest go out in id order, unscored.
     `rows_rescored` counts the rows scored, the n first scores included, and `rescore_passes`
-    the commits' passes of at most `RESCORE_BATCH` rows.
+    the commits' passes of at most `RESCORE_BATCH` rows. `owner` holds, per position, the seq of
+    the representative that first covered it, or -1 while it is uncovered.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, site: int = 0):
@@ -116,10 +118,9 @@ class SelectionState:
         self.ids, self.index = dataset.ids[order], BallIndex(dataset.coords[order])
         self._indptr, self._cols, self._score = self.index.graph(self.epsilon)
         self._sizes = np.diff(self._indptr)
-        self._covered = np.zeros(len(dataset), dtype=bool)
         self.rows_rescored, self.rescore_passes = len(dataset), 0
         self.chosen: list[RepresentativeRecord] = []
-        self.coverage_owner: dict[int, int] = {}
+        self.owner = np.full(len(dataset), -1, np.intp)
 
     def _entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every entry of the rows at `positions`, row after row: its index into `positions`, and its column.
@@ -133,7 +134,7 @@ class SelectionState:
         # each row's uncovered terms one by one in input order, ascending id, so exact score
         # ties (and the greedy tie-breaks) are reproducible.
         row, cols = self._entries(positions)
-        keep = np.flatnonzero(~self._covered[cols])  # most entries are covered; indices gather less
+        keep = np.flatnonzero(self.owner[cols] < 0)  # most entries are covered; indices gather less
         row, cols = row[keep], cols[keep]
         centers = self.index.coords.take(positions[row], axis=0)  # ~10x faster than coords[...]
         terms = self.epsilon - self.index.distances(cols, centers)
@@ -151,13 +152,18 @@ class SelectionState:
         # the candidate rows holding them (by symmetry, their own rows). `run` commits only a row
         # whose score is above 0.0, so the row holds at least one uncovered object.
         cols = self._cols[self._indptr[pos]:self._indptr[pos + 1]]
-        cols = cols[~self._covered[cols]]
-        self._covered[cols] = True
+        cols = cols[self.owner[cols] < 0]
+        self.owner[cols] = seq
         touched = np.zeros(len(self._score), dtype=bool)
         touched[self._entries(cols)[1]] = True
         self._rescore(np.flatnonzero(touched & (self._score > -math.inf)))
-        self.coverage_owner.update(dict.fromkeys(self.ids[cols].tolist(), seq))
         return float(self.index.distances(cols, self.index.coords[pos]).max()), len(cols)
+
+    @property
+    def coverage_owner(self) -> dict[int, int]:
+        """The seq of its first coverer per covered object id, by ascending id; built from `owner`."""
+        covered = np.flatnonzero(self.owner >= 0)
+        return dict(zip(self.ids[covered].tolist(), self.owner[covered].tolist()))
 
     def candidate_scores(self) -> dict[int, float]:
         """Current dynamic quality of every candidate, by ascending id."""

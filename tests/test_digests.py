@@ -4,11 +4,13 @@
 that moved. The outputs are the generated dataset; `run_pipeline` at 20%, 4 sites, seed 1
 (merged records, global, distributed and reference labels, report, cost); the global labels
 of those 4 sites' full (100%) streams in both merge orders, where most records are zero-count;
-and each of those 4 sites' `SelectionState` run to 50% (records, owners, `candidate_scores()`
-and the re-scoring work of the run). The work counters leave out the constructor's first
-scoring, so they count what greedy selection itself re-scored. No set is subsampled. The
-files that `distclust pipeline` writes for set C are pinned too, one digest per file, as its
-bytes.
+each of those 4 sites' `SelectionState` run to 50% (records, owners, `candidate_scores()`
+and the re-scoring work of the run); and a `sweep` at budgets 1, 2, 5, 10 and 20%, 4 sites,
+seed 1, its rows without `cpu_time`, which is measured. The work counters leave out the
+constructor's first scoring, so they count what greedy selection itself re-scored. No set is
+subsampled: each set's sweep takes well under a second (dense-20k's, the longest, about 0.5 s),
+so none is left out. The files that `distclust pipeline` writes for set C are pinned too, one
+digest per file, as its bytes.
 
 A change that moves an output on purpose rewrites the file with
 `PYTHONPATH=src python tests/test_digests.py --write` and says why.
@@ -18,6 +20,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,9 +29,10 @@ from distclust import (CLUSTER_PARAMS, GlobalParams, SelectionState, StopCriteri
                        merge_streams)
 from distclust.cli import main
 from distclust.datagen import dataset_spec
-from distclust.pipeline import MERGE_ORDERS, ExperimentConfig, run_pipeline
+from distclust.pipeline import MERGE_ORDERS, ExperimentConfig, run_pipeline, sweep
 
 DIGESTS = Path(__file__).with_name("digests.json")
+SWEEP_BUDGETS = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 SETS = {
     "A": (dataset_spec("A", 20260809), CLUSTER_PARAMS["A"]),
@@ -78,6 +82,8 @@ def outputs(name: str) -> dict[str, str]:
         "selection owners": digest([sorted(own.items()) for own in owners]),
         "selection scores": digest([list(s.items()) for s in scores]),
         "selection work": digest(work),
+        "sweep": digest([(row.fraction, row.n_sites, row.quality, row.bytes, row.speedup)
+                         for row in sweep(replace(cfg, budgets=SWEEP_BUDGETS))]),
     }
 
 

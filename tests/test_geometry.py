@@ -65,11 +65,21 @@ def test_empty_dataset_needs_dim():
     ([1.5], [[0.0]]),                      # not an integer
     ([0], [["x"]]),
     ([0], [[10**400]]),                    # past the float range
+    ([0], [[True, 2.0]]),                  # which numpy's float conversion takes as 1.0,
+    ([0], [["1.5", 2.0]]),                 # as 1.5,
+    ([0], np.array([[True, False]])),      # and as 1.0 and 0.0
 ], ids=["long-ids", "short-ids", "2d-ids", "1d-coords", "no-columns", "nan", "inf",
-        "negative", "2**63", "2**70", "float-id", "text", "10**400"])
+        "negative", "2**63", "2**70", "float-id", "text", "10**400", "bool", "numeric-string", "bool-array"])
 def test_dataset_rejects_bad_arrays(ids, coords):
     with pytest.raises(InputError):
         Dataset(ids, coords)
+
+
+def test_dataset_reads_a_real_array_without_a_pass_over_its_values(monkeypatch):
+    assert Dataset([0], [[1, np.float32(2.5)]]).coords.tolist() == [[1.0, 2.5]]  # a list is read by value
+    monkeypatch.setattr(geometry, "real_float", None)  # a call would raise TypeError
+    for coords in (np.array([[1.5, 2.0]]), np.array([[1, 2]]), np.array([[1, 2]], np.uint8)):
+        assert Dataset([0], coords).coords.tolist() == [coords[0].tolist()]
 
 
 def test_dataset_builds_points_from_rows():

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import InputError, StopCriterion, pipeline
-from distclust.clustering import reference_dbscan
+from distclust import InputError, SelectionState, StopCriterion, pipeline
+from distclust.clustering import reference_dbscan, reference_labels
 from distclust.datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from distclust.pipeline import (
     ExperimentConfig,
@@ -356,6 +356,34 @@ def test_sliced_sweep_equals_per_budget_runs(cfg, fractions, site_counts):
     assert [type(row.fraction) for row in rows] == [type(f) for f in fractions * len(site_counts)]
 
 
+@pytest.mark.parametrize("merge_order", ["interleave", "concat"])
+def test_sweep_quality_equals_the_from_definition_route(merge_order):
+    # `run_pipeline` shares `sweep`'s array core; this route shares only the selection. Per budget:
+    # owners cut to the seqs below each site's count, global labels from the literal weighted
+    # DBSCAN over the merged records, and the best matching tried in full against literal DBSCAN.
+    cfg = tiny_config(merge_order=merge_order)
+    budgets = (0.05, 0.1, 0.3, 0.6, 1.0)
+    ds = generate(cfg.dataset)
+    reference = oracles.literal_dbscan(as_pairs(ds), cfg.epsilon, cfg.min_pts)
+    sites = partition(ds, cfg.n_sites, cfg.seed)
+    states = [SelectionState(site, cfg.epsilon, site=k) for k, site in enumerate(sites)]
+    streams = [list(state.run(StopCriterion.fraction(1.0))) for state in states]
+    rows = sweep(replace(cfg, budgets=budgets))
+    assert [row.fraction for row in rows] == list(budgets)
+    for budget, row in zip(budgets, rows):
+        counts = [budget_to_stop(budget).resolve_count(len(site)) for site in sites]
+        owners = [{oid: seq for oid, seq in state.coverage_owner.items() if seq < k}
+                  for state, k in zip(states, counts)]
+        merged = sorted((rec for recs, k in zip(streams, counts) for rec in recs[:k]),
+                        key=lambda r: (r.seq, r.site) if merge_order == "interleave" else r.key)
+        labels = oracles.literal_weighted_dbscan([(r.point.coords, r.cov_rad, r.cov_cnt) for r in merged],
+                                                 cfg.epsilon, cfg.min_pts)
+        global_labels = dict(zip((r.key for r in merged), labels))
+        distributed = {oid: global_labels[(k, owners[k][oid])] if oid in owners[k] else 0
+                       for k, site in enumerate(sites) for oid in site.ids.tolist()}
+        assert row.quality == pytest.approx(oracles.brute_best_matching(distributed, reference), abs=1e-12)
+
+
 def test_concurrent_sweep_equals_sequential():
     cfg = tiny_config(budgets=(0.3, 0.05, 1.0, 4))
     assert without_cpu_time(sweep(replace(cfg, concurrent=True), site_counts=[1, 3])) == (
@@ -384,9 +412,9 @@ def test_sweep_cpu_time_is_each_budgets_own_run(monkeypatch):
     ds = generate(cfg.dataset)
     budgets = [0.1, 0.5, 3, 0.3]
     stops = [budget_to_stop(budget) for budget in budgets]
-    results = list(pipeline._runs(cfg, ds, stops, reference_dbscan(ds, cfg.params)))
+    results = list(pipeline._runs(cfg, ds, stops, reference_labels(ds, cfg.params)))
     assert len(outcomes) == cfg.n_sites  # one selection per site for all budgets
-    for records, _, stamps, total in outcomes:
+    for records, _, _, stamps, total in outcomes:
         assert len(stamps) == len(records)
         assert stamps == sorted(stamps) and stamps[-1] <= total
     # A budget's seconds per site: the stamp of its k-th record; 0.5 is the largest.
@@ -396,7 +424,7 @@ def test_sweep_cpu_time_is_each_budgets_own_run(monkeypatch):
         assert [len(records) for records in result.site_records] == counts
         assert result.site_seconds == tuple(
             stamps[k - 1] if k < len(records) else total
-            for (records, _, stamps, total), k in zip(outcomes, counts))
+            for (records, _, _, stamps, total), k in zip(outcomes, counts))
 
 
 def test_sweep_rejects_empty_ranges():

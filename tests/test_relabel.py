@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import random_dataset
@@ -48,8 +50,18 @@ def test_uncovered_objects_become_noise_exactly():
 def test_missing_global_label_is_consistency_error():
     owners = {5: 3}
     global_labels = Labeling({(0, 0): 1})  # seq 3 never labeled
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "object 5 is owned by representative (0, 3), which has no global label (truncated stream?)")):
         relabel_site([5], owners, global_labels, site=0)
+
+
+def test_missing_global_label_names_the_first_object_of_the_site():
+    # Objects 4 and 7 are owned by unlabeled seqs; 4 comes first among the site's ids,
+    # and that error comes before the one for object 9, which the site does not hold.
+    owners = {2: 0, 7: 2, 4: 1, 9: 0}
+    global_labels = Labeling({(1, 0): 1})
+    with pytest.raises(ConsistencyError, match=re.escape("object 4 is owned by representative (1, 1)")):
+        relabel_site([2, 4, 7], owners, global_labels, site=1)
 
 
 def test_owner_outside_the_site_is_consistency_error():

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
-from distclust import Dataset, InputError, Point, RepresentativeRecord, SelectionState, StopCriterion
+from distclust import (BallIndex, Dataset, InputError, Point, RepresentativeRecord, SelectionState,
+                       StopCriterion)
 from distclust.datagen import CLUSTER_PARAMS, dataset_spec, generate
 from distclust.pipeline import partition
 from distclust.representatives import read_records_jsonl, write_records_jsonl
@@ -484,6 +485,35 @@ def test_covering_stats_records_first_owner():
     records, state = run_selection(ds, 1.0, StopCriterion.size(2))
     assert [(r.point.id, r.cov_cnt) for r in records] == [(0, 3), (3, 1)]
     assert state.coverage_owner == {0: 0, 1: 0, 2: 0, 3: 1}
+
+
+def tied_lattice(shape):
+    lattice = list(itertools.product(*(range(n) for n in shape)))
+    return Dataset(np.random.default_rng(len(lattice)).permutation(len(lattice)), lattice)
+
+
+@pytest.mark.parametrize("case", ["seeded", "two-point-tie", "1d-1.5", "2d-1.5", "2d-2.3", "3d-1.8"])
+def test_coverage_owner_equals_a_dict_kept_commit_by_commit(rng, case):
+    # `coverage_owner` is built from the owner array on request. After every record, it must
+    # equal a dict that each commit extends by its newly covered ids, all owned by its seq:
+    # the ids of the record's closed ball not yet in the dict.
+    ds, eps = {
+        "seeded": (random_dataset(rng, 120), 1.3),
+        "two-point-tie": (make_dataset([(50.0, 50.0), (0.0, 0.0)]), 1.0),
+        "1d-1.5": (tied_lattice((40,)), 1.5),
+        "2d-1.5": (tied_lattice((9, 9)), 1.5),
+        "2d-2.3": (tied_lattice((9, 9)), 2.3),
+        "3d-1.8": (tied_lattice((5, 5, 5)), 1.8),
+    }[case]
+    index, kept = BallIndex(ds.coords), {}
+    state = SelectionState(ds, eps)
+    for record in state.run(StopCriterion.fraction(1.0)):
+        ball = ds.ids[index.distances(np.arange(len(ds)), np.array(record.point.coords)) <= eps]
+        new = sorted(set(ball.tolist()) - kept.keys())
+        assert len(new) == record.cov_cnt
+        kept.update(dict.fromkeys(new, record.seq))
+        assert state.coverage_owner == kept
+    assert kept.keys() == set(ds.ids.tolist())
 
 
 @pytest.mark.parametrize("site", [2.7, "x", True, -1])
