@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -122,14 +123,19 @@ def merge_streams(site_records: Sequence[Sequence[RepresentativeRecord]],
 
 @dataclass
 class PipelineResult:
+    """One budget's run, its labels as arrays. Per site: its ids in id order, each one's owner seq
+    in the full stream or -1, and its cluster id. The per-object dicts (`global_labeling`,
+    `local_labelings`, `distributed`, `reference`) are views of the arrays, built on first access."""
+
     dataset: Dataset
     sites: list[Dataset]
     site_records: list[list[RepresentativeRecord]]
     merged: list[RepresentativeRecord]
-    global_labeling: Labeling
-    local_labelings: list[LocalLabeling]
-    distributed: dict[int, int]
-    reference: Labeling
+    global_labels: np.ndarray  # in merged order
+    site_ids: list[np.ndarray]
+    site_owners: list[np.ndarray]
+    site_labels: list[np.ndarray]
+    reference_labels: np.ndarray  # per dataset row
     report: QualityReport
     cost: TransmissionCost
     site_seconds: tuple[float, ...]
@@ -143,6 +149,26 @@ class PipelineResult:
     @property
     def cpu_seconds(self) -> float:
         return self.local_seconds + self.global_seconds
+
+    @cached_property
+    def global_labeling(self) -> Labeling:
+        return Labeling(dict(zip((rec.key for rec in self.merged), self.global_labels.tolist())))
+
+    @cached_property
+    def local_labelings(self) -> list[LocalLabeling]:
+        return [LocalLabeling(dict(zip(ids.tolist(), labels.tolist())),
+                              {oid: (k, seq) for oid, seq in zip(ids.tolist(), owner.tolist())
+                               if 0 <= seq < len(records)})
+                for k, (ids, owner, labels, records) in enumerate(
+                    zip(self.site_ids, self.site_owners, self.site_labels, self.site_records))]
+
+    @cached_property
+    def distributed(self) -> dict[int, int]:
+        return dict(zip(np.concatenate(self.site_ids).tolist(), np.concatenate(self.site_labels).tolist()))
+
+    @cached_property
+    def reference(self) -> Labeling:
+        return Labeling(dict(zip(self.dataset.ids.tolist(), self.reference_labels.tolist())))
 
 
 def _select_site(site_ds: Dataset, epsilon: float, limit: int, site: int):
@@ -183,45 +209,13 @@ def run_pipeline(cfg: ExperimentConfig, *, dataset: Dataset | None = None,
     ds = dataset if dataset is not None else generate(cfg.dataset)
     if reference is None:
         ref = reference_labels(ds, cfg.params)
-        reference = Labeling(dict(zip(ds.ids.tolist(), ref.tolist())))
     else:  # checked as `evaluate` checks it: the dataset's ids, to cluster ids >= 0
         ref = label_arrays(dict.fromkeys(ds.ids.tolist(), NOISE), reference.labels)[1]
-    run = next(_runs(cfg, ds, [budget_to_stop(cfg.budgets[0])], ref))
-    local_labelings = [
-        LocalLabeling(dict(zip(ids.tolist(), labels.tolist())),
-                      {oid: (k, seq) for oid, seq in zip(ids.tolist(), owner.tolist()) if 0 <= seq < count})
-        for k, (ids, owner, labels, count) in enumerate(zip(run.ids, run.owners, run.labels,
-                                                             map(len, run.site_records)))]
-    return PipelineResult(
-        dataset=ds, sites=run.sites, site_records=run.site_records, merged=run.merged,
-        global_labeling=Labeling(dict(zip((rec.key for rec in run.merged), run.global_labels.tolist()))),
-        local_labelings=local_labelings,
-        distributed={oid: label for local in local_labelings for oid, label in local.labels.items()},
-        reference=reference, report=run.report, cost=run.cost,
-        site_seconds=run.site_seconds, global_seconds=run.global_seconds,
-    )
-
-
-@dataclass
-class _Run:
-    """One budget's run, its labels as arrays. Per site: its ids in id order (`ids`), each one's
-    owner seq in the full stream or -1 (`owners`), and its cluster id (`labels`)."""
-
-    sites: list[Dataset]
-    site_records: list[list[RepresentativeRecord]]
-    merged: list[RepresentativeRecord]
-    global_labels: np.ndarray  # in merged order
-    ids: list[np.ndarray]
-    owners: list[np.ndarray]
-    labels: list[np.ndarray]
-    report: QualityReport
-    cost: TransmissionCost
-    site_seconds: tuple[float, ...]
-    global_seconds: float
+    return next(_runs(cfg, ds, [budget_to_stop(cfg.budgets[0])], ref))
 
 
 def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
-          reference: np.ndarray) -> Iterator[_Run]:
+          reference: np.ndarray) -> Iterator[PipelineResult]:
     """One run per budget, in order, from one selection per site at its largest count, scored
     against `reference`, the labels of the dataset's rows. Streams are prefix-stable: a budget of
     k records takes the first k, their owners (an object owned by seq k or later is uncovered)
@@ -237,7 +231,7 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
         outcomes = list(map(_select_site, *site_args))
     streams, ids, owners, stamps, totals = zip(*outcomes)
     by_id = np.argsort(ds.ids)  # the reference in the order of the sites' ids, read once
-    reference = reference[by_id[np.searchsorted(ds.ids, np.concatenate(ids), sorter=by_id)]]
+    scored = reference[by_id[np.searchsorted(ds.ids, np.concatenate(ids), sorter=by_id)]]
 
     for counts in limits:
         site_records = [recs[:k] for recs, k in zip(streams, counts)]
@@ -251,9 +245,9 @@ def _runs(cfg: ExperimentConfig, ds: Dataset, stops: Sequence[StopCriterion],
         keys = np.array([rec.key for rec in merged], np.intp).reshape(-1, 2)
         by_seq = np.split(labels[np.lexsort(keys.T[::-1])], np.cumsum(list(map(len, site_records)))[:-1])
         local = [owner_labels(owner, seq_labels) for owner, seq_labels in zip(owners, by_seq)]
-        yield _Run(sites, site_records, merged, labels, list(ids), list(owners), local,
-                   score(np.concatenate(local), reference), transmission_cost(len(merged), len(ds)),
-                   site_seconds, global_seconds)
+        yield PipelineResult(ds, sites, site_records, merged, labels, list(ids), list(owners), local,
+                             reference, score(np.concatenate(local), scored),
+                             transmission_cost(len(merged), len(ds)), site_seconds, global_seconds)
 
 
 @dataclass(frozen=True)
@@ -285,8 +279,7 @@ def sweep(cfg: ExperimentConfig, *, site_counts: Sequence[int] | None = None) ->
         runs = _runs(replace(cfg, n_sites=n_sites), ds, stops, reference)
         for budget, run in zip(cfg.budgets, runs):
             rows.append(SweepRow(budget, n_sites, run.report.matching_quality,
-                                 run.cost.bytes_distributed, run.cost.speedup,
-                                 max(run.site_seconds) + run.global_seconds))  # as `cpu_seconds`
+                                 run.cost.bytes_distributed, run.cost.speedup, run.cpu_seconds))
     return rows
 
 

@@ -9,7 +9,6 @@ what the transmitted stream can reconstruct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -42,7 +41,7 @@ def owner_labels(owner: np.ndarray, seq_labels: np.ndarray) -> np.ndarray:
 
 def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
                  global_labeling: Labeling, site: int) -> LocalLabeling:
-    """Label every object of one site from the global clustering, by `owner_labels`.
+    """Label every object of one site from the global clustering, by the rule of `owner_labels`.
 
     coverage_owner maps object id to the seq of the representative that first
     covered it; objects absent from it get NOISE. Raises ConsistencyError when
@@ -51,27 +50,27 @@ def relabel_site(site_ids: Iterable[int], coverage_owner: Mapping[int, int],
     site does not hold (ownership of another site); InputError unless site is an integer >= 0.
     """
     check_count(site, "site", 0)
-    ids = list(site_ids)
-    owned = list(map(coverage_owner.get, ids))  # each object's owner seq, None if uncovered
-    provenance = {oid: (site, seq) for oid, seq in zip(ids, owned) if seq is not None}
-    # The distinct owner seqs by first use, so that the first unlabeled one is the first object's.
-    seqs = [seq for seq in dict.fromkeys(owned) if seq is not None]
-    for seq in seqs:
-        if (site, seq) not in global_labeling.labels:
+    labels, provenance = {}, {}
+    for oid in site_ids:
+        seq = coverage_owner.get(oid)
+        if seq is None:
+            labels[oid] = NOISE
+            continue
+        key = provenance[oid] = (site, seq)
+        label = global_labeling.labels.get(key)
+        if label is None:
             raise ConsistencyError(
-                f"object {ids[owned.index(seq)]} is owned by representative {(site, seq)}, "
+                f"object {oid} is owned by representative {key}, "
                 "which has no global label (truncated stream?)"
             )
+        labels[oid] = label
     if len(provenance) != len(coverage_owner):
         foreign = sorted(coverage_owner.keys() - provenance.keys())
         raise ConsistencyError(
             f"ownership names {len(foreign)} object(s) site {site} does not hold, "
             f"e.g. {foreign[:3]} (ownership of another site?)"
         )
-    slot = dict(zip(seqs, range(len(seqs))))  # owner seq -> its index into the labels of `seqs`
-    owner = np.fromiter(map(slot.get, owned, repeat(-1)), np.intp, len(owned))
-    labels = owner_labels(owner, np.array([global_labeling.labels[(site, seq)] for seq in seqs], np.int64))
-    return LocalLabeling(dict(zip(ids, labels.tolist())), provenance)
+    return LocalLabeling(labels, provenance)
 
 
 def save_local_labels_csv(labeling: LocalLabeling, path: str | Path) -> None:

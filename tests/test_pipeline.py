@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import as_pairs, make_dataset, random_dataset
 from distclust import InputError, SelectionState, StopCriterion, pipeline
-from distclust.clustering import reference_dbscan, reference_labels
+from distclust.clustering import Labeling, reference_dbscan, reference_labels
 from distclust.datagen import CLUSTER_PARAMS, DatasetSpec, dataset_spec, generate
 from distclust.pipeline import (
     ExperimentConfig,
@@ -246,12 +246,32 @@ def test_reference_reuse_gives_same_report():
     first = run_pipeline(cfg)
     again = run_pipeline(cfg, dataset=first.dataset, reference=first.reference)
     assert again.report == first.report
+    # Passed in reversed key order with numpy ints, it reads back as an equal view in row order.
+    reversed_ref = Labeling({oid: np.int64(label) for oid, label in reversed(first.reference.labels.items())})
+    again = run_pipeline(cfg, dataset=first.dataset, reference=reversed_ref)
+    assert again.reference.labels == reversed_ref.labels
+    assert list(again.reference.labels) == first.dataset.ids.tolist()
+    assert {type(label) for label in again.reference.labels.values()} == {int}
+    assert again.report == first.report
+    # A run sliced from a longer selection builds no per-object dict until one is read, so `sweep`
+    # builds none; each view equals the one of a run at that budget alone.
+    ds = first.dataset
+    stops = [budget_to_stop(0.3), budget_to_stop(1.0)]
+    run = next(pipeline._runs(cfg, ds, stops, reference_labels(ds, cfg.params)))
+    views = {"global_labeling", "local_labelings", "distributed", "reference"}
+    assert not views & vars(run).keys()
+    assert run.distributed == first.distributed
+    assert views & vars(run).keys() == {"distributed"}
+    assert run.global_labeling == first.global_labeling
+    assert run.local_labelings == first.local_labelings
+    assert run.reference == first.reference
 
 
 def composed_oracles(ds, cfg, budget):
     """The distributed side from the oracles alone: per-site naive selection, the
     merge, literal weighted DBSCAN and relabel by owner. Returns (global labels,
-    distributed labels, merged stream of (seq, site, coords, cov_rad, cov_cnt))."""
+    distributed labels, merged stream of (seq, site, coords, cov_rad, cov_cnt), per site its
+    (site, ids, owner))."""
     stop = budget_to_stop(budget)
     stream, owners = [], []
     for site, part in enumerate(partition(ds, cfg.n_sites, cfg.seed)):
@@ -265,7 +285,7 @@ def composed_oracles(ds, cfg, budget):
     global_labels = {(site, seq): label for (seq, site, *_), label in zip(stream, labels)}
     distributed = {oid: global_labels[(site, owner[oid])] if oid in owner else 0
                    for site, ids, owner in owners for oid in ids}
-    return global_labels, distributed, stream
+    return global_labels, distributed, stream, owners
 
 
 @pytest.mark.parametrize("dim,merge_order,concurrent", [
@@ -284,9 +304,14 @@ def test_run_pipeline_equals_composed_oracles(dim, merge_order, concurrent):
     for budget, full in ((1, False), (0.05, False), (0.3, False), (1.0, True), (150, True)):
         result = run_pipeline(replace(cfg, budgets=(budget,)), dataset=ds, reference=reference)
         reference = result.reference
-        global_labels, distributed, stream = composed_oracles(ds, cfg, budget)
+        global_labels, distributed, stream, owners = composed_oracles(ds, cfg, budget)
         assert result.global_labeling.labels == global_labels
         assert result.distributed == distributed
+        # The oracle stops at each site's count, so its owners are the seqs below it.
+        for local, (site, ids, owner) in zip(result.local_labelings, owners, strict=True):
+            assert list(local.labels) == sorted(ids)
+            assert local.labels == {oid: distributed[oid] for oid in ids}
+            assert local.provenance == {oid: (site, seq) for oid, seq in owner.items()}
         assert result.reference.labels == ref_labels
         assert result.report.matching_quality == pytest.approx(
             oracles.brute_best_matching(distributed, ref_labels), abs=1e-12)
